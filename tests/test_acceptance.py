@@ -6,6 +6,7 @@ criterion either way.
 """
 
 import json
+import re
 import time
 from pathlib import Path
 
@@ -391,23 +392,65 @@ def test_criterion_10_banach_pipeline():
     )
 
 
+GOLDEN = Path(__file__).resolve().parent / "golden"
+CLI_RUNS = [
+    ["classify", "ellipsoid.json", "region_xy.json"],
+    ["classify", "box.json", "region_xy.json"],
+    ["classify", "pball.json", "region_tilted.json"],
+    ["classify", "cylinder.json", "region_xy.json"],
+    ["classify", "sheared.json", "region_xy.json"],
+    ["classify", "mixed.json", "region_mixed.json"],
+    ["banach", "ellipsoid.json", "region_xy.json"],
+    ["banach", "mixed.json", "region_mixed.json"],
+    ["contract", "box.json", "plane_xy.json", "direction_z.json"],
+    ["contract", "box.json", "plane_xy.json"],
+    ["section", "ellipsoid.json", "plane_xy.json"],
+    ["section", "box.json", "plane_xy.json"],
+]
+_SVG_NUMBER = re.compile(r"-?\d+(?:\.\d+)?")
+
+
+def golden_name(argv):
+    return "_".join([argv[0]] + [Path(a).stem for a in argv[1:]])
+
+
+def golden_view(doc):
+    """The report without the fields that name the checkout's file paths."""
+    doc = json.loads(json.dumps(doc))
+    for key in ("body", "region", "plane", "direction"):
+        doc["config_echo"].pop(key, None)
+    doc["witness"].pop("svg", None)
+    return doc
+
+
+def assert_matches_golden(got, want, where):
+    """Exact for strings, ints, bools and structure; floats to 1e-9 relative."""
+    if isinstance(want, dict):
+        assert isinstance(got, dict) and sorted(got) == sorted(want), where
+        for key in want:
+            assert_matches_golden(got[key], want[key], f"{where}.{key}")
+    elif isinstance(want, list):
+        assert isinstance(got, list) and len(got) == len(want), where
+        for i, (g, w) in enumerate(zip(got, want)):
+            assert_matches_golden(g, w, f"{where}[{i}]")
+    elif isinstance(want, float):
+        assert type(got) is float, (where, got, want)
+        assert abs(got - want) <= 1e-9 * max(abs(got), abs(want)) + 1e-12, (where, got, want)
+    else:
+        assert type(got) is type(want) and got == want, (where, got, want)
+
+
+def assert_svg_matches_golden(got, want, where):
+    """Same markup; coordinates within their printed resolution of 1e-3."""
+    assert _SVG_NUMBER.split(got) == _SVG_NUMBER.split(want), where
+    a = np.array(_SVG_NUMBER.findall(got), dtype=float)
+    b = np.array(_SVG_NUMBER.findall(want), dtype=float)
+    assert np.abs(a - b).max() <= 1e-3 + 1e-9, where
+
+
 def test_criterion_11_cli_determinism(tmp_path):
-    runs = [
-        ["classify", "ellipsoid.json", "region_xy.json"],
-        ["classify", "box.json", "region_xy.json"],
-        ["classify", "pball.json", "region_tilted.json"],
-        ["classify", "cylinder.json", "region_xy.json"],
-        ["classify", "sheared.json", "region_xy.json"],
-        ["classify", "mixed.json", "region_mixed.json"],
-        ["banach", "ellipsoid.json", "region_xy.json"],
-        ["banach", "mixed.json", "region_mixed.json"],
-        ["contract", "box.json", "plane_xy.json", "direction_z.json"],
-        ["contract", "box.json", "plane_xy.json"],
-        ["section", "ellipsoid.json", "plane_xy.json"],
-        ["section", "box.json", "plane_xy.json"],
-    ]
     report, svg = tmp_path / "report.json", tmp_path / "out.svg"
-    for argv in runs:
+    for argv in CLI_RUNS:
         cmd = [argv[0]] + [str(FIX / a) for a in argv[1:]]
         if cmd[0] in ("classify", "banach"):
             cmd += ["--grid", "3"]
@@ -422,9 +465,18 @@ def test_criterion_11_cli_determinism(tmp_path):
             if cmd[0] == "section":
                 blob += svg.read_bytes()
             blobs.append(blob)
+            if len(blobs) == 1:
+                # the first run also matches the committed golden report
+                name = golden_name(argv)
+                want = json.loads((GOLDEN / f"{name}.json").read_text())
+                got = golden_view(json.loads(report.read_text()))
+                assert_matches_golden(got, want, name)
+                if cmd[0] == "section":
+                    want_svg = (GOLDEN / f"{name}.svg").read_text()
+                    assert_svg_matches_golden(svg.read_text(), want_svg, name)
         assert blobs[0] == blobs[1], argv
         json.loads(report.read_text())
     print(
         f"\nPASS criterion 11: byte-identical reports on two consecutive runs "
-        f"for {len(runs)} fixture commands"
+        f"for {len(CLI_RUNS)} fixture commands, each matching its golden"
     )
