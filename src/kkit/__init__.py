@@ -43,7 +43,6 @@ from .classifier import (
     reduce_pair,
     support_check,
     tangent_field_fit,
-    tangent_linear_field,
 )
 from .contracting import (
     ContractionCertificate,
@@ -107,7 +106,6 @@ __all__ = [
     "fit_projective_dual",
     "support_check",
     "tangent_field_fit",
-    "tangent_linear_field",
     "RTensor",
     "EquivalenceWitness",
     "TangencyReport",

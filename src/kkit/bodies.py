@@ -7,9 +7,9 @@ non-symmetric bodies are first class throughout.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
-from scipy.optimize import linprog
 from scipy.spatial import ConvexHull, QhullError
 
 from .errors import (
@@ -29,17 +29,16 @@ FD_STEP = 1e-6
 
 
 class Body:
-    """Base class; subclasses fill in gauge evaluation."""
+    """Base class; subclasses implement the vectorized gauge_many."""
 
     dim: int
 
     def gauge(self, v) -> float:
-        raise NotImplementedError
+        return float(self.gauge_many(np.asarray(v, dtype=float)[None])[0])
 
     def gauge_many(self, V):
-        """Vectorized gauge over rows of V; subclasses override with fast paths."""
-        V = np.asarray(V, dtype=float)
-        return np.array([self.gauge(v) for v in V])
+        """Gauge of every row of V."""
+        raise NotImplementedError
 
     def support_functional(self, p):
         """Covector l with l(p) = 1 and l <= 1 on the body, p on the boundary.
@@ -55,10 +54,8 @@ class Body:
         return fd_gradient(self.gauge, p)
 
     def _check_boundary(self, p):
-        # vectorized route even for one point: scalar gauge may be a slower
-        # independent evaluation (the polytope LP) kept for cross-checks
         p = np.asarray(p, dtype=float)
-        g = float(self.gauge_many(p[None])[0])
+        g = self.gauge(p)
         if abs(g - 1.0) > BOUNDARY_TOL:
             raise NotOnBoundary(f"gauge(p) = {g!r}")
         return p
@@ -66,7 +63,7 @@ class Body:
     def boundary_point(self, direction):
         """Boundary point on the ray through direction, i.e. direction/gauge."""
         d = np.asarray(direction, dtype=float)
-        g = float(self.gauge_many(d[None])[0])
+        g = self.gauge(d)
         if g <= GENERATRIX_TOL * max(1.0, np.linalg.norm(d)):
             raise DirectionInGeneratrix("gauge vanishes along this direction")
         return d / g
@@ -91,10 +88,6 @@ class Ellipsoid(Body):
         self.Q = Q
         self.dim = Q.shape[0]
 
-    def gauge(self, v) -> float:
-        v = np.asarray(v, dtype=float)
-        return float(np.sqrt(max(0.0, v @ self.Q @ v)))
-
     def gauge_many(self, V):
         V = np.asarray(V, dtype=float)
         return np.sqrt(np.maximum(0.0, np.einsum("mi,ij,mj->m", V, self.Q, V)))
@@ -106,10 +99,9 @@ class Ellipsoid(Body):
 class Polytope(Body):
     """Convex hull of a finite vertex set with the origin strictly inside.
 
-    gauge(v) is the optimal value of min sum(lam) subject to
-    vertices.T lam = v, lam >= 0, solved as a linear program; gauge_many uses
-    the precomputed facet functionals (max_F a_F . v), which the tests pin
-    against the LP route.
+    The gauge is max_F a_F . v over the facet functionals a_F (normalized to
+    a_F . x = 1 on facet F); the tests pin it against the linear program
+    min sum(lam) subject to vertices.T lam = v, lam >= 0.
     """
 
     def __init__(self, vertices):
@@ -141,22 +133,6 @@ class Polytope(Body):
         self.facets = -normals / offsets[:, None]
         self.facet_vertex_sets = [tuple(sorted(map(int, s))) for s in hull.simplices]
 
-    def gauge(self, v) -> float:
-        v = np.asarray(v, dtype=float)
-        nv = np.linalg.norm(v)
-        if nv == 0.0:
-            return 0.0
-        res = linprog(
-            np.ones(len(self.vertices)),
-            A_eq=self.vertices.T,
-            b_eq=v / nv,
-            bounds=(0.0, None),
-            method="highs",
-        )
-        if res.status != 0:
-            raise MalformedBody(f"gauge LP failed: {res.message}")
-        return float(nv * res.fun)
-
     def gauge_many(self, V):
         V = np.asarray(V, dtype=float)
         return np.maximum(0.0, (self.facets @ V.T).max(axis=0))
@@ -184,10 +160,6 @@ class PBall(Body):
         self.A = A
         self.Ainv = np.linalg.inv(A)
         self.dim = A.shape[0]
-
-    def gauge(self, v) -> float:
-        u = self.Ainv @ np.asarray(v, dtype=float)
-        return float(np.linalg.norm(u, ord=self.p))
 
     def gauge_many(self, V):
         U = np.asarray(V, dtype=float) @ self.Ainv.T
@@ -222,9 +194,6 @@ class Cylinder(Body):
         self._coord_proj = plane.frame.T @ P
         self.dim = plane.ambient
 
-    def gauge(self, v) -> float:
-        return self.base.gauge(self._coord_proj @ np.asarray(v, dtype=float))
-
     def gauge_many(self, V):
         return self.base.gauge_many(np.asarray(V, dtype=float) @ self._coord_proj.T)
 
@@ -248,9 +217,6 @@ class LinearImage(Body):
         self.inner = inner
         self.dim = A.shape[0]
 
-    def gauge(self, v) -> float:
-        return self.inner.gauge(self.Ainv @ np.asarray(v, dtype=float))
-
     def gauge_many(self, V):
         return self.inner.gauge_many(np.asarray(V, dtype=float) @ self.Ainv.T)
 
@@ -273,15 +239,12 @@ class Intersection(Body):
         self.members = members
         self.dim = members[0].dim
 
-    def gauge(self, v) -> float:
-        return max(m.gauge(v) for m in self.members)
-
     def gauge_many(self, V):
         return np.max([m.gauge_many(V) for m in self.members], axis=0)
 
     def _support(self, p):
         for m in self.members:
-            if float(m.gauge_many(p[None])[0]) >= 1.0 - BOUNDARY_TOL:
+            if m.gauge(p) >= 1.0 - BOUNDARY_TOL:
                 return m.support_functional(p)
         raise NotOnBoundary("no active member at p")
 
@@ -300,9 +263,6 @@ class SectionBody(Body):
         self.inner = inner
         self.plane = plane
         self.dim = plane.dim
-
-    def gauge(self, u) -> float:
-        return self.inner.gauge(self.plane.frame @ np.asarray(u, dtype=float))
 
     def gauge_many(self, U):
         return self.inner.gauge_many(np.asarray(U, dtype=float) @ self.plane.frame.T)
@@ -327,26 +287,36 @@ def fd_gradient(f, p, step: float = FD_STEP):
 
 @dataclass
 class SectionSample:
-    """Boundary sample of B cut by a plane, in the plane's frame coordinates.
+    """Boundary sample of body cut by a plane, in the plane's frame coordinates.
 
     points[t] lies on the section boundary, functionals[t] is an in-plane
-    support covector normalized to functionals[t] . points[t] = 1.
+    support covector normalized to functionals[t] . points[t] = 1.  The
+    functionals cost one support_functional call per point, so they are
+    computed on first access.
     """
 
     plane: Subspace
     points: np.ndarray
-    functionals: np.ndarray
+    body: Body
 
     @property
     def ambient_points(self):
         return self.points @ self.plane.frame.T
+
+    @cached_property
+    def functionals(self):
+        out = np.empty_like(self.points)
+        for t, p in enumerate(self.ambient_points):
+            lam = self.plane.frame.T @ self.body.support_functional(p)
+            out[t] = lam / float(lam @ self.points[t])
+        return out
 
     def __len__(self):
         return self.points.shape[0]
 
 
 def section_samples(body: Body, plane: Subspace, m: int = 256) -> SectionSample:
-    """Sample m boundary points of B cut by the plane, with support covectors.
+    """Sample m boundary points of B cut by the plane.
 
     Directions are spread at quasi-uniform angles in the plane frame.  Raises
     UnboundedSection if the section has empty interior in some direction
@@ -358,10 +328,4 @@ def section_samples(body: Body, plane: Subspace, m: int = 256) -> SectionSample:
     if np.any(g <= GENERATRIX_TOL):
         bad = dirs[int(np.argmin(g))]
         raise UnboundedSection(f"gauge vanishes along {bad}")
-    pts = dirs / g[:, None]
-    functionals = np.empty_like(pts)
-    for t in range(m):
-        ell = body.support_functional(amb[t] / g[t])
-        lam = plane.frame.T @ ell
-        functionals[t] = lam / float(lam @ pts[t])
-    return SectionSample(plane=plane, points=pts, functionals=functionals)
+    return SectionSample(plane=plane, points=dirs / g[:, None], body=body)

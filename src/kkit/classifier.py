@@ -8,7 +8,7 @@ pipeline for 3-dimensional bodies and a hyperplane-restriction sweep for
 higher codimension run as cross-checks, not as decision paths.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -48,8 +48,6 @@ from .quadform import FIT_TOL, reconstruct_global_form
 
 # Dichotomy: lines this close to their median count as one constant line.
 CONSTANT_ANGLE = 1e-4
-# Adjacent grid planes should not swing the generatrix line further than this.
-CONTINUITY_ANGLE = 0.2
 # Two smallest singular values closer than this leave the dual fit ambiguous.
 DUAL_GAP = 1e-6
 # A projective dual must stay invertible after Frobenius normalization.
@@ -126,7 +124,6 @@ def phi_map(
     grid: int = 5,
     tol: float = DEFAULT_TOL,
     hints=None,
-    mapper=None,
     count_multiplicity: bool = True,
 ) -> PhiSample:
     """Generatrix line per grid plane of a 3-dimensional region.
@@ -144,7 +141,9 @@ def phi_map(
     coords = list(region.grid(grid))
     planes = [region.plane(M) for M in coords]
 
-    def solve(X):
+    pairs = []
+    mult = []
+    for X in planes:
         warm = tuple(hints(X)) if hints is not None else ()
         # lighter exploration than the default: certificates stay at full
         # strength, only the multistart lattice shrinks
@@ -160,12 +159,6 @@ def phi_map(
                 first_only=not count_multiplicity,
             ),
         )
-        return res
-
-    results = list((mapper or map)(solve, planes))
-    pairs = []
-    mult = []
-    for X, res in zip(planes, results):
         if not res:
             raise NoGeneratrix(X, res.best_violation)
         L = res.found[0].direction
@@ -301,12 +294,6 @@ def tangent_field_fit(section, tol: float = FIELD_TOL, sigma_min: float = FIELD_
     return None, float(s[-1]) / np.sqrt(len(rows))
 
 
-def tangent_linear_field(section):
-    """The accepted tangent field alone; see tangent_field_fit."""
-    W, _ = tangent_field_fit(section)
-    return W
-
-
 def _as_line(L: Subspace):
     return L.frame[:, 0]
 
@@ -354,9 +341,7 @@ def reduce_pair(
     lam = float(Tu @ u)
     mult_defect = float(np.linalg.norm(Tu - lam * u))
     if mult_defect > 1e-6:
-        raise InconsistentPropagation(
-            f"T is not scalar on Z cap X1: defect {mult_defect:.3e}"
-        )
+        raise InconsistentPropagation(X1, mult_defect, "T is not scalar on Z cap X1")
     if abs(lam - 1.0) <= 1e-9:
         raise DegenerateFixedPoint("T fixes Z cap X1 pointwise")
 
@@ -390,7 +375,6 @@ class ClassifyOptions:
     cross_checks: bool = True
     restriction_grid: int = 3
     seed: int = 0
-    mapper: object = None
 
 
 @dataclass
@@ -451,7 +435,6 @@ def _phi_cross_check(body, region, opts, verdict, form, generatrix, diagnostics,
             opts.phi_grid,
             opts.tol,
             hints=hints,
-            mapper=opts.mapper,
             count_multiplicity=form is None and generatrix is None,
         )
         counters["direction_searches"] += len(sample.pairs)
@@ -573,9 +556,8 @@ def classify(
         diagnostics["form_rank"] = form.rank()
     except (NotLocallyQuadric, InconsistentPropagation) as exc:
         diagnostics["quadric_failure"] = type(exc).__name__
-        if isinstance(exc, NotLocallyQuadric):
-            diagnostics["quadric_residual"] = exc.residual
-            quadric_witness = (exc.plane, exc.residual)
+        diagnostics["quadric_residual"] = exc.residual
+        quadric_witness = (exc.plane, exc.residual)
         form = None
 
     predict = None

@@ -13,7 +13,6 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -175,21 +174,8 @@ def _thread_count(args) -> int:
         raise CliError(f"KKIT_THREADS={env!r} is not an integer") from exc
 
 
-def make_mapper(threads: int):
-    """Order-preserving parallel map; None requests the serial default."""
-    if threads <= 1:
-        return None
-
-    def mapper(fn, items):
-        items = list(items)
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(fn, items))
-
-    return mapper
-
-
 def _options(args) -> ClassifyOptions:
-    kw = {"seed": args.seed, "mapper": make_mapper(_thread_count(args))}
+    kw = {"seed": args.seed}
     if args.tol is not None:
         kw["tol"] = args.tol
     if args.grid is not None:
@@ -209,7 +195,10 @@ def _config_echo(args, **paths) -> dict:
 
 
 def write_report(doc: dict, path) -> None:
-    text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    try:
+        text = json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n"
+    except ValueError as exc:
+        raise CliError(f"report is not strict JSON: {exc}") from exc
     if path:
         Path(path).write_text(text)
     else:
@@ -226,9 +215,9 @@ def _verdict_exit(verdict: str) -> int:
 def cmd_classify(args) -> int:
     body = load_body(args.body)
     region = load_region(args.region)
-    report = classify(body, region, opts=_options(args))
-    doc = report.to_dict()
-    doc["config_echo"] = _config_echo(args, body=args.body, region=args.region)
+    echo = _config_echo(args, body=args.body, region=args.region)
+    doc = classify(body, region, opts=_options(args)).to_dict()
+    doc["config_echo"] = echo
     write_report(doc, args.report)
     return _verdict_exit(doc["verdict"])
 
@@ -337,6 +326,7 @@ def cmd_section(args) -> int:
     X = load_plane(args.plane)
     if X.dim != 2:
         raise CliError("section plots need a 2-dimensional plane")
+    echo = _config_echo(args, body=args.body, plane=args.plane)
     sample = section_samples(body, X, SVG_SEGMENTS)
     form, resid = fit_section_quadric(body, X)
     overlay = None
@@ -360,7 +350,7 @@ def cmd_section(args) -> int:
         },
         "diagnostics": {"segments": SVG_SEGMENTS},
         "timings": {"quadric_fits": 1, "sections_sampled": 1},
-        "config_echo": _config_echo(args, body=args.body, plane=args.plane),
+        "config_echo": echo,
     }
     write_report(doc, args.report)
     return 0
@@ -376,7 +366,8 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--seed", type=int, default=0, help="RNG seed")
     common.add_argument(
         "--threads", type=int, default=None,
-        help="worker count (falls back to KKIT_THREADS, then 1)",
+        help="accepted and echoed in config_echo; does not change the "
+        "computation (falls back to KKIT_THREADS, then 1)",
     )
     common.add_argument("--report", default=None, help="report path (default stdout)")
     common.add_argument("--svg", default=None, help="SVG output path")

@@ -52,7 +52,12 @@ class NotLocallyQuadric(KkitError):
 
 
 class InconsistentPropagation(KkitError):
-    """Assembled form disagrees with the gauge somewhere in the swept region."""
+    """Propagated structure disagrees with the body, worst at plane."""
+
+    def __init__(self, plane, residual, what):
+        super().__init__(f"{what} (residual {residual:.3e})")
+        self.plane = plane
+        self.residual = residual
 
 
 class SharedLine(KkitError):
@@ -82,12 +87,3 @@ class HypothesisFailed(KkitError):
         super().__init__(f"sections not linearly equivalent (residual {residual:.3e})")
         self.pair = pair
         self.residual = residual
-
-
-class ClassifyStageError(KkitError):
-    """Error propagated out of a classification stage, tagged with the stage."""
-
-    def __init__(self, stage: str, cause):
-        super().__init__(f"stage {stage}: {cause}")
-        self.stage = stage
-        self.cause = cause

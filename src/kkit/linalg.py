@@ -6,7 +6,7 @@ orthogonal complement, so every chart is a box in the k*(n-k) graph
 coefficients.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.stats import norm as _normal
@@ -244,10 +244,6 @@ class GrassmannChart:
         """Random coefficient matrices uniform in the box."""
         U = rng.uniform(-1.0, 1.0, size=(count,) + self.halfwidths.shape)
         return [U[i] * self.halfwidths for i in range(count)]
-
-
-# ChartRegion is the same data: a chart plus its box bounds the swept region.
-ChartRegion = GrassmannChart
 
 
 def sphere_directions(dim: int, m: int):

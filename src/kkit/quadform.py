@@ -15,7 +15,7 @@ import numpy as np
 
 from .bodies import Body, section_samples
 from .errors import InconsistentPropagation, NotLocallyQuadric
-from .linalg import ChartRegion, Subspace, sphere_directions
+from .linalg import GrassmannChart, Subspace
 
 # Default relative residual for fits and verification.
 FIT_TOL = 1e-6
@@ -107,7 +107,7 @@ def assemble_form(F, basis) -> SymmetricForm:
 def verify_form(
     F,
     form: SymmetricForm,
-    region: ChartRegion,
+    region: GrassmannChart,
     m: int = 512,
     seed: int = 0,
 ) -> float:
@@ -116,9 +116,14 @@ def verify_form(
     Points are drawn from random chart planes at random in-plane directions
     and radii in [0.5, 1.5], seeded for reproducibility.
     """
+    return _worst_mismatch(F, form, region, m, seed)[0]
+
+
+def _worst_mismatch(F, form, region, m, seed):
+    """verify_form's maximum together with the chart plane attaining it."""
     rng = np.random.default_rng(seed)
     k = region.base.dim
-    worst = 0.0
+    worst, worst_plane = 0.0, region.base
     planes = region.sample(rng, count=max(1, m // 16))
     for M in planes:
         X = region.plane(M)
@@ -128,8 +133,10 @@ def verify_form(
         P = (U * r[:, None]) @ X.frame.T
         for p in P:
             q = form(p)
-            worst = max(worst, abs(F(p) - q) / max(1.0, abs(q)))
-    return worst
+            err = abs(F(p) - q) / max(1.0, abs(q))
+            if err > worst:
+                worst, worst_plane = err, X
+    return worst, worst_plane
 
 
 def fit_section_quadric(
@@ -163,7 +170,7 @@ def fit_section_quadric(
     return None, resid
 
 
-def compatible_basis(region: ChartRegion):
+def compatible_basis(region: GrassmannChart):
     """Ambient basis whose coordinate planes stay inside the swept region.
 
     Base-plane frame vectors are kept; each transversal frame vector is mixed
@@ -183,7 +190,7 @@ def compatible_basis(region: ChartRegion):
 
 def reconstruct_global_form(
     body: Body,
-    region: ChartRegion,
+    region: GrassmannChart,
     tol: float = FIT_TOL,
     grid_per_axis: int = 5,
     grid_cap: int = 32,
@@ -195,8 +202,8 @@ def reconstruct_global_form(
     Every grid plane must first pass fit_section_quadric (else
     NotLocallyQuadric); the form is then assembled from gauge^2 on a basis
     compatible with the region and verified across it (else
-    InconsistentPropagation).  Returns (form, psd_flag); rank and eigenvalues
-    come from the form itself.
+    InconsistentPropagation, carrying the worst plane).  Returns
+    (form, psd_flag); rank and eigenvalues come from the form itself.
     """
     for M in region.grid(grid_per_axis, grid_cap):
         X = region.plane(M)
@@ -211,9 +218,10 @@ def reconstruct_global_form(
         return g * g
 
     form = assemble_form(F, basis)
-    err = verify_form(F, form, region, m=max(512, samples), seed=seed)
+    m = max(512, samples)
+    err = verify_form(F, form, region, m=m, seed=seed)
     if err > tol:
-        raise InconsistentPropagation(
-            f"assembled form mismatches gauge^2 (residual {err:.3e})"
-        )
+        # the seeded check replays identically and names the worst plane
+        _, X = _worst_mismatch(F, form, region, m, seed)
+        raise InconsistentPropagation(X, err, "assembled form mismatches gauge^2")
     return form, form.is_psd()

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.optimize import linprog
 
 from kkit.bodies import Cylinder, Ellipsoid, Intersection, PBall, Polytope
 from kkit.linalg import Subspace
@@ -47,6 +48,22 @@ def random_spd(r, n, cond=10.0, scale=1.0):
     lo, hi = 1.0 / np.sqrt(cond), np.sqrt(cond)
     w = np.exp(r.uniform(np.log(lo), np.log(hi), size=n))
     return scale * (Q * w) @ Q.T
+
+
+def lp_gauge(vertices, v):
+    """Polytope gauge as the linear program min sum(lam), vertices.T lam = v,
+    lam >= 0 (HiGHS): the reference for Polytope's facet formula."""
+    vertices = np.asarray(vertices, dtype=float)
+    v = np.asarray(v, dtype=float)
+    nv = np.linalg.norm(v)
+    if nv == 0.0:
+        return 0.0
+    res = linprog(
+        np.ones(len(vertices)), A_eq=vertices.T, b_eq=v / nv, bounds=(0.0, None),
+        method="highs",
+    )
+    assert res.status == 0, res.message
+    return float(nv * res.fun)
 
 
 def random_polytope(r, n, m=None):

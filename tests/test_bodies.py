@@ -22,7 +22,7 @@ from kkit.errors import (
 )
 from kkit.linalg import Subspace, sphere_directions
 
-from conftest import disk_cylinder, random_polytope, random_spd, rng
+from conftest import disk_cylinder, lp_gauge, random_polytope, random_spd, rng
 
 
 def facet_gauge_oracle(vertices, v):
@@ -75,11 +75,11 @@ def test_polytope_lp_matches_facet_oracle():
         body = random_polytope(r, n, 3 * n + 2)
         for _ in range(60):
             v = r.normal(size=n) * np.exp(r.uniform(-2, 2))
-            lp = body.gauge(v)
+            lp = lp_gauge(body.vertices, v)
             oracle = facet_gauge_oracle(body.vertices, v)
             assert abs(lp - oracle) <= 1e-9 * max(1.0, oracle)
-            # the vectorized facet path agrees too
-            assert abs(body.gauge_many(v[None])[0] - oracle) <= 1e-9 * max(1.0, oracle)
+            # the body's own gauge agrees too
+            assert abs(body.gauge(v) - oracle) <= 1e-9 * max(1.0, oracle)
 
 
 def test_gauge_homogeneity_and_subadditivity():
@@ -168,10 +168,19 @@ def test_section_samples_invariants():
         if name == "cylinder":
             # fixed plane keeps the generatrix out of the section
             X = Subspace.span([1.0, 0.0, 0.2], [0.0, 1.0, -0.1])
+        calls = []
+        support = body.support_functional
+        body.support_functional = lambda p: calls.append(p) or support(p)
         s = section_samples(body, X, m=64)
         amb = s.ambient_points
         g = body.gauge_many(amb)
         assert np.abs(g - 1.0).max() <= 1e-10, name
+        # support functionals are computed only when read, once per point
+        assert not calls, name
+        s.functionals
+        assert len(calls) == 64, name
+        s.functionals
+        assert len(calls) == 64, name
         for t in range(64):
             lam = s.functionals[t]
             assert abs(lam @ s.points[t] - 1.0) <= 1e-12
@@ -223,3 +232,28 @@ def test_one_dimensional_polytope_gauge():
 def test_nonsymmetric_polytope_gauge_asymmetry():
     tri = Polytope([[2.0, 0.0], [-1.0, 1.0], [-1.0, -1.0]])
     assert tri.gauge([1.0, 0.0]) != pytest.approx(tri.gauge([-1.0, 0.0]), abs=1e-6)
+
+
+class AxisEllipsoid(Body):
+    """Defines only gauge_many: sqrt(sum (v_i / a_i)^2)."""
+
+    def __init__(self, axes):
+        self.axes = np.asarray(axes, dtype=float)
+        self.dim = self.axes.size
+
+    def gauge_many(self, V):
+        return np.linalg.norm(np.asarray(V, dtype=float) / self.axes, axis=1)
+
+
+def test_body_defined_by_gauge_many_alone():
+    body = AxisEllipsoid([1.0, 2.0, 3.0])
+    r = rng(17)
+    for _ in range(20):
+        d = r.normal(size=3)
+        g = np.sqrt(np.sum((d / body.axes) ** 2))
+        assert body.gauge(d) == pytest.approx(g, rel=1e-15)
+        p = body.boundary_point(d)
+        assert np.abs(p - d / g).max() <= 1e-15 * np.abs(d / g).max()
+        # finite-difference fallback against the closed form p / a^2
+        ell = body.support_functional(p)
+        assert np.abs(ell - p / body.axes**2).max() <= 1e-8

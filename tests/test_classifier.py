@@ -15,7 +15,6 @@ from kkit.classifier import (
     reduce_pair,
     support_check,
     tangent_field_fit,
-    tangent_linear_field,
 )
 from kkit.contracting import DirectionSearch, find_contracting_direction
 from kkit.errors import (
@@ -302,7 +301,6 @@ def test_tangent_field_none_on_square(square):
     W, resid = tangent_field_fit(sec)
     assert W is None
     assert resid >= 0.05
-    assert tangent_linear_field(sec) is None
 
 
 def test_tangent_field_none_on_hexagon():

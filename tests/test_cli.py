@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from kkit.cli import body_from_dict, body_to_dict, load_body, main
+from kkit.cli import CliError, body_from_dict, body_to_dict, load_body, main, write_report
 
 FIX = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -68,6 +68,31 @@ def test_classify_pball_fixture(tmp_path):
     assert rep["verdict"] == "NonKakutani"
     assert rep["witness"]["violation"] >= 1e-3
     assert np.asarray(rep["witness"]["witness_plane"]).shape == (3, 2)
+
+
+def test_near_ellipsoid_report_is_strict_json(tmp_path):
+    # p = 2 + 3e-6: every plane contracts, but the assembled form misses
+    # gauge^2 by ~1e-6, so the witness is that residual rather than NaN
+    report = tmp_path / "report.json"
+    code = main([
+        "classify", str(FIX / "pball_near2.json"), str(FIX / "region_xy.json"),
+        "--grid", "3", "--report", str(report),
+    ])
+    assert code == 2
+
+    def reject(name):
+        raise ValueError(f"{name} is not strict JSON")
+
+    rep = json.loads(report.read_text(), parse_constant=reject)
+    assert rep["verdict"] == "NonKakutani"
+    assert rep["diagnostics"]["quadric_failure"] == "InconsistentPropagation"
+    assert 0.0 < rep["witness"]["violation"] == rep["diagnostics"]["quadric_residual"]
+    assert np.asarray(rep["witness"]["witness_plane"]).shape == (3, 2)
+
+
+def test_non_finite_report_is_an_error(tmp_path):
+    with pytest.raises(CliError):
+        write_report({"violation": float("nan")}, tmp_path / "report.json")
 
 
 def test_banach_mixed_fixture(tmp_path):
