@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import kkit.banach as banach_module
 from kkit.bodies import (
     Cylinder,
     Ellipsoid,
@@ -72,6 +73,17 @@ def oblique_prism():
             Cylinder(Polytope([[-2.0], [2.0]]), Subspace.coordinate(3, 2), XY),
         ]
     )
+
+
+def ball_cut_by_cube():
+    """fixtures/mixed.json: disk sections near XY, rounded squares further out."""
+    cube = Polytope(
+        np.array(
+            [[x, y, w] for x in (-0.8, 0.8) for y in (-0.8, 0.8) for w in (-0.8, 0.8)],
+            dtype=float,
+        )
+    )
+    return Intersection([Ellipsoid(np.eye(3)), cube])
 
 
 def box_prism():
@@ -332,18 +344,47 @@ def test_banach_classify_box_prism():
 
 
 def test_banach_classify_mixed_regime_fails():
-    cube = Polytope(
-        np.array(
-            [[x, y, w] for x in (-0.8, 0.8) for y in (-0.8, 0.8) for w in (-0.8, 0.8)],
-            dtype=float,
-        )
-    )
-    mixed = Intersection([Ellipsoid(np.eye(3)), cube])
     with pytest.raises(HypothesisFailed) as info:
-        banach_classify(mixed, GrassmannChart(XY, 0.35))
+        banach_classify(ball_cut_by_cube(), GrassmannChart(XY, 0.35))
     assert info.value.residual > 1e-3
     Xa, Xb = info.value.pair
     assert Xa.dim == Xb.dim == 2
+
+
+def test_planar_match_is_rounding_stable(monkeypatch):
+    # the corner planes cut symmetric sections whose coarse signature scan
+    # ties many shifts exactly; the refined residual must not depend on which
+    # tie wins, nor on last-bit noise in the section functionals
+    body = ball_cut_by_cube()
+    region = GrassmannChart(XY, 0.35)
+    corners = [region.plane(M) for M in region.grid(3) if np.all(M != 0.0)]
+    assert len(corners) == 4
+    for X in corners:
+        assert _section_match(body, XY, X)[1] == pytest.approx(0.12951342823, abs=1e-10)
+    solve = banach_module.max_inscribed_ellipsoid
+    noise = np.random.default_rng(0)
+    monkeypatch.setattr(
+        banach_module,
+        "max_inscribed_ellipsoid",
+        lambda L: solve(L * (1.0 + 1e-16 * noise.normal(size=L.shape))),
+    )
+    for X in corners[:2]:
+        assert _section_match(body, XY, X)[1] == pytest.approx(0.12951342823, abs=1e-10)
+
+
+def test_banach_worst_pair_keeps_the_first_of_rounding_ties(monkeypatch):
+    # residuals that differ only in rounding must not move the witness pair
+    seen = []
+
+    def fake_match(body, X1, X2, cache=None):
+        seen.append((X1, X2))
+        return None, 0.5 * (1.0 + 1e-12 * len(seen)), False
+
+    monkeypatch.setattr(banach_module, "_section_match", fake_match)
+    with pytest.raises(HypothesisFailed) as info:
+        banach_classify(Ellipsoid(np.eye(3)), GrassmannChart(XY, 0.2))
+    assert len(seen) == 41
+    assert info.value.pair == seen[0]
 
 
 def test_banach_classify_rejects_bad_k():
