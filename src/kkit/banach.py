@@ -12,6 +12,7 @@ for a supplied R; constructing R from section data is out of scope.
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .bodies import Body, SectionBody, section_samples
 from .classifier import ClassifyOptions, classify
@@ -20,8 +21,10 @@ from .linalg import GrassmannChart, Subspace, sphere_directions
 
 # Equivalence witnesses must stay honestly invertible.
 DET_MIN = 1e-8
-# Signature resolution: 0.5 degree scan, golden-refined to machine level.
+# Signature resolution: 0.5 degree scan, a 1/32-step sub-scan around the
+# best shift, then golden-refined to machine level.
 SCAN_OFFSETS = 720
+REFINE_SUB = 32
 REFINE_TOL = 1e-12
 
 
@@ -211,54 +214,63 @@ def _rot(a):
 def _match_planar(sec1, M1, c1, sec2, M2, c2, offsets=SCAN_OFFSETS):
     """Best rotation/reflection aligning two normalized planar signatures.
 
-    Coarse scan over grid shifts (array rolls, exact on the shared angle
-    grid), then golden-section refinement of the shift with true radial
-    re-evaluation.  Returns (map in frame coordinates, residual).
+    Coarse scan over grid shifts (windows of the doubled signature, exact
+    on the shared angle grid), then golden-section refinement of the shift
+    with true radial re-evaluation.  Returns (map in frame coordinates,
+    residual).
     """
     ang = np.linspace(0.0, 2.0 * np.pi, offsets, endpoint=False)
     circle = np.column_stack([np.cos(ang), np.sin(ang)])
     r1 = _radials(sec1, M1, c1, circle)
     s2 = _radials(sec2, M2, c2, circle)
 
-    # grid scan: r1(theta_i + j d) = roll(r1, -j)[i] and
-    # r1(-theta_i + j d) = roll(r1[::-1], j + 1)[i] on the shared grid
-    best = {+1: (np.inf, 0), -1: (np.inf, 0)}
-    rev = r1[::-1]
-    for j in range(offsets):
-        for flip, rolled in ((+1, np.roll(r1, -j)), (-1, np.roll(rev, j + 1))):
-            res = float(np.abs(rolled - s2).max())
-            if res < best[flip][0]:
-                best[flip] = (res, j)
+    def scan(r):
+        """max_i |r[(i + j) % offsets] - s2[i]| for every grid shift j."""
+        windows = sliding_window_view(np.concatenate([r, r]), offsets)[:offsets]
+        return np.abs(windows - s2).max(axis=1)
 
-    def residual(phi, flip):
-        theta = flip * ang + phi
-        pts = np.column_stack([np.cos(theta), np.sin(theta)])
-        return float(np.abs(_radials(sec1, M1, c1, pts) - s2).max())
+    # r1(theta_i + j d) = r1[(i + j) % offsets] on the shared grid, and the
+    # reflection r1(-theta_i + j d) = r1[::-1][(i - j - 1) % offsets]
+    coarse = {+1: scan(r1), -1: scan(r1[::-1])[::-1]}
+
+    def residuals(phis, flip):
+        """Residual of every candidate shift, in one radial evaluation."""
+        theta = flip * ang + np.asarray(phis)[:, None]
+        pts = np.stack([np.cos(theta), np.sin(theta)], axis=-1).reshape(-1, 2)
+        r = _radials(sec1, M1, c1, pts).reshape(len(theta), offsets)
+        return np.abs(r - s2).max(axis=1)
 
     def refine(j0, flip):
-        """Golden-section minimum of the residual within one grid step."""
-        span = 2.0 * np.pi / offsets
+        """Minimum of the residual within one grid step of shift j0.
+
+        The residual is flat wherever its worst mismatch sits on a circular
+        arc, and golden section started across such a plateau can stall
+        above the minimum; a sub-grid scan first picks the lowest basin.
+        """
+        step = 2.0 * np.pi / offsets
+        sub = ang[j0] + step * np.linspace(-1.0, 1.0, 2 * REFINE_SUB + 1)
+        phi0 = sub[int(np.argmin(residuals(sub, flip)))]
         gr = (np.sqrt(5.0) - 1.0) / 2.0
-        a, b = ang[j0] - span, ang[j0] + span
+        a, b = phi0 - step / REFINE_SUB, phi0 + step / REFINE_SUB
         x1 = b - gr * (b - a)
         x2 = a + gr * (b - a)
-        f1, f2 = residual(x1, flip), residual(x2, flip)
+        f1, f2 = residuals([x1, x2], flip)
         while b - a > REFINE_TOL:
             if f1 <= f2:
                 b, x2, f2 = x2, x1, f1
                 x1 = b - gr * (b - a)
-                f1 = residual(x1, flip)
+                f1 = residuals([x1], flip)[0]
             else:
                 a, x1, f1 = x1, x2, f2
                 x2 = a + gr * (b - a)
-                f2 = residual(x2, flip)
-        return (x1, f1, flip) if f1 <= f2 else (x2, f2, flip)
+                f2 = residuals([x2], flip)[0]
+        return (x1, float(f1), flip) if f1 <= f2 else (x2, float(f2), flip)
 
     # symmetric sections tie many coarse shifts exactly, and refinement from
     # one of them can stall; refining the best shift of each orientation and
     # keeping the smaller residual makes the result insensitive to rounding
     phi, res, flip = min(
-        (refine(best[f][1], f) for f in (+1, -1)), key=lambda t: t[1]
+        (refine(int(np.argmin(coarse[f])), f) for f in (+1, -1)), key=lambda t: t[1]
     )
     # matched r1(flip theta + phi) = r2(theta): on normalized bodies the map
     # sends the direction at angle alpha to flip (alpha - phi)
@@ -373,56 +385,54 @@ def verify_R_tangency(body: Body, X: Subspace, R: RTensor, m: int = 64, tol: flo
         nu = R.nu
     sec = SectionBody(body, X)
 
-    def defect(lam, p):
-        v = R.matrix(lam) @ p
+    def supports(pts):
+        """Functionals at section boundary points (frame coordinates) that
+        act on the checked vectors: the section's, or with nu the body's."""
+        if nu is None:
+            return sec.support_many(pts)
+        return body.support_many(pts @ X.frame.T)
+
+    def defects(lams, pts, ells):
+        """|ell(R_lam p)| row by row; with nu the vector is R_lam p + lam(p) nu."""
+        V = np.einsum("ti,ijc,tj->tc", lams, R.entries, pts)
         if nu is not None:
-            vamb = X.frame @ v + float(lam @ p) * nu
-            ellp = body.support_functional(X.frame @ p)
-            return abs(float(ellp @ vamb))
-        ellp = sec.support_functional(p)
-        return abs(float(ellp @ v))
+            V = V @ X.frame.T + np.einsum("ti,ti->t", lams, pts)[:, None] * nu
+        return np.abs(np.einsum("tc,tc->t", ells, V))
 
     covs = _unit_covectors(k, m)
-    worst = (0.0, None)
-    hyp_worst = 0.0
-    for lam in covs:
-        if k == 2:
-            d0 = np.array([-lam[1], lam[0]])
-            kernel_pts = [d0 / sec.gauge(d0), -d0 / sec.gauge(-d0)]
-        else:
-            _, _, Vt = np.linalg.svd(lam[None, :])
-            a = np.linspace(0.0, 2.0 * np.pi, 16, endpoint=False)
-            ring = np.column_stack([np.cos(a), np.sin(a)]) @ Vt[1:]
-            kernel_pts = list(ring / sec.gauge_many(ring)[:, None])
-        for p in kernel_pts:
-            d = defect(lam, p)
-            hyp_worst = max(hyp_worst, d)
-            if d > worst[0]:
-                worst = (d, (lam.copy(), np.asarray(p).copy()))
+    # hypothesis: each covector against the boundary points of its kernel
+    if k == 2:
+        d0 = np.column_stack([-covs[:, 1], covs[:, 0]])
+        ker = np.stack([d0, -d0], axis=1)
+    else:
+        a = np.linspace(0.0, 2.0 * np.pi, 16, endpoint=False)
+        Vt = np.linalg.svd(covs[:, None, :])[2]
+        ker = np.einsum("aj,mjc->mac", np.column_stack([np.cos(a), np.sin(a)]), Vt[:, 1:])
+    ker_lams = np.repeat(covs, ker.shape[1], axis=0)
+    ker = ker.reshape(-1, k)
+    ker_pts = ker / sec.gauge_many(ker)[:, None]
+    hyp = defects(ker_lams, ker_pts, supports(ker_pts))
 
+    # conclusion: every covector against every point of a boundary fan
     fan = sphere_directions(k, m)
     pts = fan / sec.gauge_many(fan)[:, None]
-    ells = np.array([sec.support_functional(p) for p in pts])
-    if nu is not None:
-        amb_ells = np.array([body.support_functional(X.frame @ p) for p in pts])
-    conc_worst = 0.0
-    for lam in covs:
-        V = pts @ R.matrix(lam).T
-        if nu is not None:
-            Vamb = V @ X.frame.T + (pts @ lam)[:, None] * nu[None, :]
-            d = np.abs(np.einsum("jc,jc->j", amb_ells, Vamb))
-        else:
-            d = np.abs(np.einsum("jc,jc->j", ells, V))
-        j = int(np.argmax(d))
-        if d[j] > conc_worst:
-            conc_worst = float(d[j])
-            if conc_worst > worst[0]:
-                worst = (conc_worst, (lam.copy(), pts[j].copy()))
+    tile = (len(covs), 1)
+    conc = defects(
+        np.repeat(covs, len(pts), axis=0), np.tile(pts, tile), np.tile(supports(pts), tile)
+    )
+
+    i, j = int(np.argmax(hyp)), int(np.argmax(conc))
+    hyp_worst, conc_worst = float(hyp[i]), float(conc[j])
+    witness = None
+    if conc_worst > hyp_worst:
+        witness = (covs[j // len(pts)].copy(), pts[j % len(pts)].copy())
+    elif hyp_worst > 0.0:
+        witness = (ker_lams[i].copy(), ker_pts[i].copy())
     return TangencyReport(
         hypothesis_ok=hyp_worst <= tol,
         conclusion_ok=conc_worst <= tol,
-        worst_violation=float(max(hyp_worst, conc_worst)),
-        witness=worst[1],
+        worst_violation=max(hyp_worst, conc_worst),
+        witness=witness,
     )
 
 

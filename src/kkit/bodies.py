@@ -3,7 +3,10 @@
 The gauge of a body B at v is the smallest t > 0 with v/t in B.  Everything
 downstream (sections, contracting directions, quadric fits) consumes bodies
 only through gauge evaluation, boundary points, and support functionals, so
-non-symmetric bodies are first class throughout.
+non-symmetric bodies are first class throughout.  Both come in batches: a
+subclass implements gauge_many and, when it has a closed form, a raw
+_support_many; Body derives the scalar gauge, the boundary check and the
+normalization from those.
 """
 
 from dataclasses import dataclass
@@ -41,24 +44,30 @@ class Body:
         raise NotImplementedError
 
     def support_functional(self, p):
-        """Covector l with l(p) = 1 and l <= 1 on the body, p on the boundary.
+        """Covector l with l(p) = 1 and l <= 1 on the body, p on the boundary."""
+        return self.support_many(np.asarray(p, dtype=float)[None])[0]
 
-        Falls back to Richardson-extrapolated central differences of the gauge
-        when no analytic rule applies.
+    def support_many(self, P):
+        """Support functionals of the boundary rows of P, one per row.
+
+        Row t satisfies L[t] . P[t] = 1 and L[t] <= 1 on the body; a row off
+        the boundary raises NotOnBoundary.
         """
-        p = self._check_boundary(p)
-        ell = self._support(p)
-        return ell / float(ell @ p)
+        P = np.asarray(P, dtype=float)
+        g = self.gauge_many(P)
+        off = np.abs(g - 1.0) > BOUNDARY_TOL
+        if off.any():
+            raise NotOnBoundary(f"gauge(p) = {g[off][0]!r}")
+        L = self._support_many(P)
+        return L / np.einsum("ij,ij->i", L, P)[:, None]
 
-    def _support(self, p):
-        return fd_gradient(self.gauge, p)
+    def _support_many(self, P):
+        """Unnormalized support covectors at boundary rows of P.
 
-    def _check_boundary(self, p):
-        p = np.asarray(p, dtype=float)
-        g = self.gauge(p)
-        if abs(g - 1.0) > BOUNDARY_TOL:
-            raise NotOnBoundary(f"gauge(p) = {g!r}")
-        return p
+        Without a closed form this is the gauge gradient, by
+        Richardson-extrapolated central differences.
+        """
+        return fd_gradient(self.gauge_many, P)
 
     def boundary_point(self, direction):
         """Boundary point on the ray through direction, i.e. direction/gauge."""
@@ -67,9 +76,6 @@ class Body:
         if g <= GENERATRIX_TOL * max(1.0, np.linalg.norm(d)):
             raise DirectionInGeneratrix("gauge vanishes along this direction")
         return d / g
-
-    def section(self, plane: Subspace) -> "SectionBody":
-        return SectionBody(self, plane)
 
 
 class Ellipsoid(Body):
@@ -92,8 +98,8 @@ class Ellipsoid(Body):
         V = np.asarray(V, dtype=float)
         return np.sqrt(np.maximum(0.0, np.einsum("mi,ij,mj->m", V, self.Q, V)))
 
-    def _support(self, p):
-        return self.Q @ p
+    def _support_many(self, P):
+        return P @ self.Q
 
 
 class Polytope(Body):
@@ -109,6 +115,10 @@ class Polytope(Body):
         self.vertices = V
         self.dim = V.shape[1]
         self._build_facets()
+        # support tie-break: of the active facets, the one whose vertex set is
+        # lexicographically smallest
+        order = sorted(range(len(self.facets)), key=self.facet_vertex_sets.__getitem__)
+        self._facet_rank = np.argsort(order)
 
     def _build_facets(self):
         V, n = self.vertices, self.dim
@@ -137,13 +147,10 @@ class Polytope(Body):
         V = np.asarray(V, dtype=float)
         return np.maximum(0.0, (self.facets @ V.T).max(axis=0))
 
-    def _support(self, p):
-        vals = self.facets @ p
-        active = np.nonzero(vals >= 1.0 - BOUNDARY_TOL)[0]
-        if active.size == 0:
-            active = np.array([int(np.argmax(vals))])
-        best = min(active, key=lambda i: self.facet_vertex_sets[i])
-        return self.facets[best].copy()
+    def _support_many(self, P):
+        active = P @ self.facets.T >= 1.0 - BOUNDARY_TOL
+        rank = np.where(active, self._facet_rank, len(self.facets))
+        return self.facets[np.argmin(rank, axis=1)]
 
 
 class PBall(Body):
@@ -165,13 +172,10 @@ class PBall(Body):
         U = np.asarray(V, dtype=float) @ self.Ainv.T
         return np.linalg.norm(U, ord=self.p, axis=1)
 
-    def _support(self, p_pt):
-        u = self.Ainv @ p_pt
-        if self.p == 1.0:
-            w = np.sign(u)
-        else:
-            w = np.sign(u) * np.abs(u) ** (self.p - 1.0)
-        return self.Ainv.T @ w
+    def _support_many(self, P):
+        U = P @ self.Ainv.T
+        # at p = 1, |u|^0 = 1 leaves the subgradient sign(u)
+        return (np.sign(U) * np.abs(U) ** (self.p - 1.0)) @ self.Ainv
 
 
 class Cylinder(Body):
@@ -197,9 +201,8 @@ class Cylinder(Body):
     def gauge_many(self, V):
         return self.base.gauge_many(np.asarray(V, dtype=float) @ self._coord_proj.T)
 
-    def _support(self, p):
-        u = self._coord_proj @ p
-        return self._coord_proj.T @ self.base.support_functional(u)
+    def _support_many(self, P):
+        return self.base._support_many(P @ self._coord_proj.T) @ self._coord_proj
 
 
 class LinearImage(Body):
@@ -220,8 +223,8 @@ class LinearImage(Body):
     def gauge_many(self, V):
         return self.inner.gauge_many(np.asarray(V, dtype=float) @ self.Ainv.T)
 
-    def _support(self, p):
-        return self.Ainv.T @ self.inner.support_functional(self.Ainv @ p)
+    def _support_many(self, P):
+        return self.inner._support_many(P @ self.Ainv.T) @ self.Ainv
 
 
 class Intersection(Body):
@@ -242,11 +245,16 @@ class Intersection(Body):
     def gauge_many(self, V):
         return np.max([m.gauge_many(V) for m in self.members], axis=0)
 
-    def _support(self, p):
-        for m in self.members:
-            if m.gauge(p) >= 1.0 - BOUNDARY_TOL:
-                return m.support_functional(p)
-        raise NotOnBoundary("no active member at p")
+    def _support_many(self, P):
+        # each row takes the support of its first active member
+        active = np.array([m.gauge_many(P) >= 1.0 - BOUNDARY_TOL for m in self.members])
+        first = np.argmax(active, axis=0)
+        L = np.empty_like(P)
+        for j, m in enumerate(self.members):
+            rows = first == j
+            if rows.any():
+                L[rows] = m._support_many(P[rows])
+        return L
 
 
 class SectionBody(Body):
@@ -267,22 +275,21 @@ class SectionBody(Body):
     def gauge_many(self, U):
         return self.inner.gauge_many(np.asarray(U, dtype=float) @ self.plane.frame.T)
 
-    def _support(self, u):
-        ell = self.inner.support_functional(self.plane.frame @ u)
-        return self.plane.frame.T @ ell
+    def _support_many(self, U):
+        return self.inner._support_many(U @ self.plane.frame.T) @ self.plane.frame
 
 
-def fd_gradient(f, p, step: float = FD_STEP):
-    """Richardson-extrapolated central difference gradient of a scalar field."""
-    p = np.asarray(p, dtype=float)
-    g = np.zeros_like(p)
-    for i in range(p.size):
-        e = np.zeros_like(p)
-        e[i] = 1.0
-        d1 = (f(p + step * e) - f(p - step * e)) / (2.0 * step)
-        d2 = (f(p + 0.5 * step * e) - f(p - 0.5 * step * e)) / step
-        g[i] = (4.0 * d2 - d1) / 3.0
-    return g
+def fd_gradient(f, P, step: float = FD_STEP):
+    """Richardson-extrapolated central difference gradient of a batched scalar
+    field f (rows to values) at every row of P."""
+    P = np.asarray(P, dtype=float)
+    m, n = P.shape
+    h = np.array([step, -step, 0.5 * step, -0.5 * step])
+    X = P[None, None] + h[:, None, None, None] * np.eye(n)[None, :, None, :]
+    F = f(X.reshape(-1, n)).reshape(4, n, m)
+    d1 = (F[0] - F[1]) / (2.0 * step)
+    d2 = (F[2] - F[3]) / step
+    return ((4.0 * d2 - d1) / 3.0).T
 
 
 @dataclass
@@ -291,8 +298,8 @@ class SectionSample:
 
     points[t] lies on the section boundary, functionals[t] is an in-plane
     support covector normalized to functionals[t] . points[t] = 1.  The
-    functionals cost one support_functional call per point, so they are
-    computed on first access.
+    functionals come from one support_many call on the section, made on
+    first access, so callers that read only the points never pay for it.
     """
 
     plane: Subspace
@@ -305,11 +312,7 @@ class SectionSample:
 
     @cached_property
     def functionals(self):
-        out = np.empty_like(self.points)
-        for t, p in enumerate(self.ambient_points):
-            lam = self.plane.frame.T @ self.body.support_functional(p)
-            out[t] = lam / float(lam @ self.points[t])
-        return out
+        return SectionBody(self.body, self.plane).support_many(self.points)
 
     def __len__(self):
         return self.points.shape[0]

@@ -44,7 +44,7 @@ from .linalg import (
     sphere_directions,
     subspace_angle,
 )
-from .quadform import FIT_TOL, reconstruct_global_form
+from .quadform import reconstruct_global_form
 
 # Dichotomy: lines this close to their median count as one constant line.
 CONSTANT_ANGLE = 1e-4
@@ -55,6 +55,9 @@ DUAL_DET_MIN = 1e-8
 # Tangent field acceptance: fit residual and nondegeneracy floor.
 FIELD_TOL = 1e-6
 FIELD_SIGMA_MIN = 1e-3
+# Grids per axis of the projective cross-check and of each restriction slice.
+PHI_GRID = 3
+RESTRICTION_GRID = 3
 
 
 @dataclass
@@ -209,14 +212,14 @@ def fit_projective_dual(
     support functional, stacked over boundary points of every sample plane;
     solved by the smallest right singular vector at unit Frobenius norm.
     """
+    P = np.vstack(
+        [section_samples(body, X, points_per_plane).ambient_points for X, _ in sample.pairs]
+    )
     rows = []
-    for X, _ in sample.pairs:
-        sec = section_samples(body, X, points_per_plane)
-        for p in sec.ambient_points:
-            ell = body.support_functional(p)
-            tang = orthonormal_frame(np.eye(3) - np.outer(ell, ell) / (ell @ ell))
-            for t in tang.T:
-                rows.append(np.outer(t, p).reshape(-1))
+    for p, ell in zip(P, body.support_many(P)):
+        tang = orthonormal_frame(np.eye(3) - np.outer(ell, ell) / (ell @ ell))
+        for t in tang.T:
+            rows.append(np.outer(t, p).reshape(-1))
     A = np.array(rows)
     A /= np.linalg.norm(A, axis=1)[:, None]
     _, s, Vt = np.linalg.svd(A, full_matrices=False)
@@ -294,10 +297,6 @@ def tangent_field_fit(section, tol: float = FIELD_TOL, sigma_min: float = FIELD_
     return None, float(s[-1]) / np.sqrt(len(rows))
 
 
-def _as_line(L: Subspace):
-    return L.frame[:, 0]
-
-
 def reduce_pair(
     body: Body,
     X1: Subspace,
@@ -336,7 +335,7 @@ def reduce_pair(
     P1 = projector(X1, L1)
     P2 = projector(X2, L2)
     T = P1 @ P2
-    u = _as_line(L)
+    u = L.frame[:, 0]
     Tu = T @ u
     lam = float(Tu @ u)
     mult_defect = float(np.linalg.norm(Tu - lam * u))
@@ -368,12 +367,8 @@ def reduce_pair(
 @dataclass
 class ClassifyOptions:
     tol: float = DEFAULT_TOL
-    fit_tol: float = FIT_TOL
     grid_per_axis: int = 9
-    grid_cap: int = 128
-    phi_grid: int = 3
     cross_checks: bool = True
-    restriction_grid: int = 3
     seed: int = 0
 
 
@@ -432,7 +427,7 @@ def _phi_cross_check(body, region, opts, verdict, form, generatrix, diagnostics,
         sample = phi_map(
             body,
             region,
-            opts.phi_grid,
+            PHI_GRID,
             opts.tol,
             hints=hints,
             count_multiplicity=form is None and generatrix is None,
@@ -489,9 +484,7 @@ def _restriction_cross_check(body, region, opts, verdict, diagnostics):
         sub_region = GrassmannChart(sub_base, hw)
         sub_opts = ClassifyOptions(
             tol=opts.tol,
-            fit_tol=opts.fit_tol,
-            grid_per_axis=opts.restriction_grid,
-            grid_cap=opts.grid_cap,
+            grid_per_axis=RESTRICTION_GRID,
             cross_checks=False,
             seed=opts.seed,
         )
@@ -537,7 +530,7 @@ def classify(
         "sections_sampled": 0,
     }
     diagnostics = {}
-    coords = list(region.grid(opts.grid_per_axis, opts.grid_cap))
+    coords = list(region.grid(opts.grid_per_axis))
     planes = [region.plane(M) for M in coords]
 
     # probe the global quadratic reconstruction up front: success pins the
@@ -549,9 +542,7 @@ def classify(
     quadric_witness = (region.base, float("nan"))
     try:
         counters["quadric_fits"] += len(list(region.grid(5, 32)))
-        form, psd = reconstruct_global_form(
-            body, region, tol=opts.fit_tol, samples=256, seed=opts.seed
-        )
+        form, psd = reconstruct_global_form(body, region, samples=256, seed=opts.seed)
         diagnostics["form_psd"] = psd
         diagnostics["form_rank"] = form.rank()
     except (NotLocallyQuadric, InconsistentPropagation) as exc:

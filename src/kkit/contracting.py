@@ -30,6 +30,10 @@ SEARCH_SAMPLES = 512
 _FLAT_TOL = 1e-9
 # Distinct minimizers are deduplicated at this principal angle.
 DEDUP_ANGLE = 1e-4
+# Strongest certificate samples refined by pattern search.
+REFINE_TOP = 8
+# Half-width of the multistart box in graph coordinates.
+SEARCH_SPAN = 1.5
 
 
 @dataclass
@@ -49,14 +53,6 @@ def _boundary_sample(body: Body, m: int):
     g = body.gauge_many(dirs)
     scale = np.where(g > _FLAT_TOL, g, 1.0)
     return dirs / scale[:, None], np.where(g > _FLAT_TOL, 1.0, 0.0)
-
-
-def _sample_violation(body: Body, P, pts, base_gauge):
-    """max gauge(P p) - gauge(p) over sample rows, plus the argmax row."""
-    proj = pts @ P.T
-    v = body.gauge_many(proj) - base_gauge
-    i = int(np.argmax(v))
-    return float(v[i]), pts[i]
 
 
 def _refine_violation(body: Body, P, seeds, start_val: float, step0: float = 0.05):
@@ -115,8 +111,6 @@ def is_contracting(
     X: Subspace,
     Y: Subspace,
     tol: float = DEFAULT_TOL,
-    samples: int = CERT_SAMPLES,
-    refine_top: int = 8,
 ) -> ContractionCertificate:
     """Certificate that projection onto X along Y does not increase the gauge.
 
@@ -131,7 +125,7 @@ def is_contracting(
         i = int(np.argmax(v))
         viol = float(v[i])
         return ContractionCertificate(X, Y, viol, viol <= tol, V[i])
-    pts, base_gauge = _boundary_sample(body, samples)
+    pts, base_gauge = _boundary_sample(body, CERT_SAMPLES)
     proj_gauge = body.gauge_many(pts @ P.T)
     v = proj_gauge - base_gauge
     order = np.argsort(v)[::-1]
@@ -139,7 +133,7 @@ def is_contracting(
     # a catastrophic sampled violation already decides the certificate
     if viol > max(100.0 * tol, 0.1):
         return ContractionCertificate(X, Y, viol, False, pts[order[0]])
-    seeds = pts[order[:refine_top]]
+    seeds = pts[order[:REFINE_TOP]]
     viol, worst = _refine_violation(body, P, seeds, viol)
     return ContractionCertificate(X, Y, viol, viol <= tol, worst)
 
@@ -189,10 +183,7 @@ class DirectionSearch:
     tol: float = DEFAULT_TOL
     starts: int = 64
     max_iter: int = 200
-    span: float = 1.5
     coarse_samples: int = SEARCH_SAMPLES
-    cert_samples: int = CERT_SAMPLES
-    dedup_angle: float = DEDUP_ANGLE
     warm: tuple = ()
     first_only: bool = False
 
@@ -324,9 +315,7 @@ def _certify_polished(body, X, Y0, M, dirs, opts, step0: float = 0.02, iters: in
     """Certify the direction at coords M; a marginal failure feeds the
     certifier's worst boundary direction back into the sampled objective and
     re-descends, closing the gap between search and certificate."""
-    cert = is_contracting(
-        body, X, _direction_from_coords(X, Y0, M), opts.tol, opts.cert_samples
-    )
+    cert = is_contracting(body, X, _direction_from_coords(X, Y0, M), opts.tol)
     rounds = 0
     while (
         not cert.holds
@@ -336,9 +325,7 @@ def _certify_polished(body, X, Y0, M, dirs, opts, step0: float = 0.02, iters: in
     ):
         dirs = np.vstack([dirs, cert.worst[None, :]])
         Ms, _ = _descend(body, X, Y0, M[None].copy(), dirs, step0, iters)
-        cert2 = is_contracting(
-            body, X, _direction_from_coords(X, Y0, Ms[0]), opts.tol, opts.cert_samples
-        )
+        cert2 = is_contracting(body, X, _direction_from_coords(X, Y0, Ms[0]), opts.tol)
         if cert2.violation >= cert.violation - 1e-15:
             if cert2.violation < cert.violation:
                 cert = cert2
@@ -375,7 +362,7 @@ def find_contracting_direction(
         if Yc.ambient != n or Yc.dim != n - k:
             continue
         try:
-            cert = is_contracting(body, X, Yc, opts.tol, opts.cert_samples)
+            cert = is_contracting(body, X, Yc, opts.tol)
         except Exception:
             continue
         best_viol = min(best_viol, cert.violation)
@@ -404,16 +391,16 @@ def find_contracting_direction(
     d = k * (n - k)
     per_axis = max(2, int(round(opts.starts ** (1.0 / d))))
     if per_axis**d <= opts.starts * 2 and per_axis**d >= opts.starts // 2:
-        axes = [np.linspace(-opts.span, opts.span, per_axis)] * d
+        axes = [np.linspace(-SEARCH_SPAN, SEARCH_SPAN, per_axis)] * d
         mesh = np.meshgrid(*axes, indexing="ij")
         flat = np.stack([m.reshape(-1) for m in mesh], axis=1)[: opts.starts]
     else:
         from scipy.stats import qmc
 
-        flat = (2.0 * qmc.Sobol(d, scramble=False).random(opts.starts) - 1.0) * opts.span
+        flat = (2.0 * qmc.Sobol(d, scramble=False).random(opts.starts) - 1.0) * SEARCH_SPAN
     Ms = flat.reshape(-1, k, n - k)
 
-    Ms, vals = _descend(body, X, Y0, Ms, dirs, opts.span / 4.0, opts.max_iter)
+    Ms, vals = _descend(body, X, Y0, Ms, dirs, SEARCH_SPAN / 4.0, opts.max_iter)
     # cluster candidate minimizers before the expensive certification; always
     # certify the best one so failures report a full-density violation
     order = np.argsort(vals)
@@ -423,7 +410,7 @@ def find_contracting_direction(
         if len(reps) >= 8 or (vals[i] > cutoff and reps):
             break
         Yc = _direction_from_coords(X, Y0, Ms[i])
-        if any(subspace_angle(Yc, r) <= max(opts.dedup_angle, 1e-3) for _, r in reps):
+        if any(subspace_angle(Yc, r) <= 1e-3 for _, r in reps):
             continue
         reps.append((Ms[i], Yc))
     found = list(warm_hits)
@@ -432,7 +419,7 @@ def find_contracting_direction(
         best_viol = min(best_viol, cert.violation)
         if cert.holds:
             if all(
-                subspace_angle(cert.direction, c.direction) > opts.dedup_angle
+                subspace_angle(cert.direction, c.direction) > DEDUP_ANGLE
                 for c in found
             ):
                 found.append(cert)

@@ -368,7 +368,7 @@ def test_planar_match_is_rounding_stable(monkeypatch):
         "max_inscribed_ellipsoid",
         lambda L: solve(L * (1.0 + 1e-16 * noise.normal(size=L.shape))),
     )
-    for X in corners[:2]:
+    for X in corners:
         assert _section_match(body, XY, X)[1] == pytest.approx(0.12951342823, abs=1e-10)
 
 

@@ -132,10 +132,39 @@ def test_support_functionals_are_supports():
             assert vals.max() <= 1.0 + 1e-9, name
 
 
+def test_support_many_matches_support_functional():
+    r = rng(18)
+    families = all_families(r)
+    families["pball_p1"] = PBall(1.0, r.normal(size=(3, 3)) + 2.0 * np.eye(3))
+    families["fd_fallback"] = AxisEllipsoid([1.0, 2.0, 3.0])
+    column = Cylinder(
+        Ellipsoid(np.eye(2)), Subspace.coordinate(3, 0, 1), Subspace.coordinate(3, 2)
+    )
+    families["section_of_intersection"] = SectionBody(
+        Intersection([column, random_polytope(r, 3, 12)]), Subspace(r.normal(size=(3, 2)))
+    )
+    # square corners tie two facets each; every row keeps its own tie-break
+    families["square"] = Polytope([[1, 1], [1, -1], [-1, -1], [-1, 1]])
+    for name, body in families.items():
+        corners = np.sign(r.normal(size=(4, body.dim)))
+        dirs = np.vstack([sphere_directions(body.dim, 64), corners])
+        P = dirs / body.gauge_many(dirs)[:, None]
+        L = body.support_many(P)
+        ref = np.array([body.support_functional(p) for p in P])
+        assert L.shape == P.shape, name
+        assert np.abs(L - ref).max() <= 1e-12 * max(1.0, np.abs(ref).max()), name
+
+
 def test_support_functional_requires_boundary():
     e = Ellipsoid(np.eye(2))
     with pytest.raises(NotOnBoundary):
         e.support_functional([0.5, 0.0])
+    # one interior row fails the whole batch, also through nested bodies
+    with pytest.raises(NotOnBoundary):
+        e.support_many([[1.0, 0.0], [0.0, 1.0], [0.5, 0.0]])
+    sec = SectionBody(disk_cylinder(), Subspace.coordinate(3, 0, 2))
+    with pytest.raises(NotOnBoundary):
+        sec.support_many([[1.0, 0.0], [0.0, 2.0], [0.0, 1.0]])
 
 
 def test_polytope_support_tie_break_is_lexicographic():
@@ -151,13 +180,11 @@ def test_fd_gradient_matches_analytic_supports():
     e = Ellipsoid(Q)
     pb = PBall(3.0, r.normal(size=(3, 3)) + 2 * np.eye(3))
     for body in (e, pb):
-        for _ in range(20):
-            d = r.normal(size=3)
-            p = body.boundary_point(d)
-            ana = body.support_functional(p)
-            fd = fd_gradient(body.gauge, p)
-            fd = fd / (fd @ p)
-            assert np.abs(ana - fd).max() <= 1e-7
+        P = np.array([body.boundary_point(r.normal(size=3)) for _ in range(20)])
+        ana = body.support_many(P)
+        fd = fd_gradient(body.gauge_many, P)
+        fd = fd / np.einsum("ij,ij->i", fd, P)[:, None]
+        assert np.abs(ana - fd).max() <= 1e-7
 
 
 def test_section_samples_invariants():
@@ -169,18 +196,18 @@ def test_section_samples_invariants():
             # fixed plane keeps the generatrix out of the section
             X = Subspace.span([1.0, 0.0, 0.2], [0.0, 1.0, -0.1])
         calls = []
-        support = body.support_functional
-        body.support_functional = lambda p: calls.append(p) or support(p)
+        raw = body._support_many
+        body._support_many = lambda P: calls.append(len(P)) or raw(P)
         s = section_samples(body, X, m=64)
         amb = s.ambient_points
         g = body.gauge_many(amb)
         assert np.abs(g - 1.0).max() <= 1e-10, name
-        # support functionals are computed only when read, once per point
+        # support functionals are computed only when read, in one batch
         assert not calls, name
         s.functionals
-        assert len(calls) == 64, name
+        assert calls == [64], name
         s.functionals
-        assert len(calls) == 64, name
+        assert calls == [64], name
         for t in range(64):
             lam = s.functionals[t]
             assert abs(lam @ s.points[t] - 1.0) <= 1e-12
