@@ -21,10 +21,10 @@ from .linalg import GrassmannChart, Subspace, sphere_directions
 
 # Equivalence witnesses must stay honestly invertible.
 DET_MIN = 1e-8
-# Signature resolution: 0.5 degree scan, a 1/32-step sub-scan around the
+# Signature resolution: 0.5 degree scan, a 1/16-step sub-scan around the
 # best shift, then golden-refined to machine level.
 SCAN_OFFSETS = 720
-REFINE_SUB = 32
+REFINE_SUB = 16
 REFINE_TOL = 1e-12
 
 
@@ -215,9 +215,9 @@ def _match_planar(sec1, M1, c1, sec2, M2, c2, offsets=SCAN_OFFSETS):
     """Best rotation/reflection aligning two normalized planar signatures.
 
     Coarse scan over grid shifts (windows of the doubled signature, exact
-    on the shared angle grid), then golden-section refinement of the shift
-    with true radial re-evaluation.  Returns (map in frame coordinates,
-    residual).
+    on the shared angle grid), then a sub-grid scan and golden-section
+    refinement of the shift with true radial re-evaluation.  Returns (map in
+    frame coordinates, residual).
     """
     ang = np.linspace(0.0, 2.0 * np.pi, offsets, endpoint=False)
     circle = np.column_stack([np.cos(ang), np.sin(ang)])
@@ -226,8 +226,8 @@ def _match_planar(sec1, M1, c1, sec2, M2, c2, offsets=SCAN_OFFSETS):
 
     def scan(r):
         """max_i |r[(i + j) % offsets] - s2[i]| for every grid shift j."""
-        windows = sliding_window_view(np.concatenate([r, r]), offsets)[:offsets]
-        return np.abs(windows - s2).max(axis=1)
+        d = sliding_window_view(np.concatenate([r, r]), offsets)[:offsets] - s2
+        return np.abs(d, out=d).max(axis=1)
 
     # r1(theta_i + j d) = r1[(i + j) % offsets] on the shared grid, and the
     # reflection r1(-theta_i + j d) = r1[::-1][(i - j - 1) % offsets]
