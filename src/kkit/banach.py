@@ -416,9 +416,9 @@ def verify_R_tangency(body: Body, X: Subspace, R: RTensor, m: int = 64, tol: flo
     # conclusion: every covector against every point of a boundary fan
     fan = sphere_directions(k, m)
     pts = fan / sec.gauge_many(fan)[:, None]
-    tile = (len(covs), 1)
+    per_cov = (len(covs), 1)
     conc = defects(
-        np.repeat(covs, len(pts), axis=0), np.tile(pts, tile), np.tile(supports(pts), tile)
+        np.repeat(covs, len(pts), axis=0), np.tile(pts, per_cov), np.tile(supports(pts), per_cov)
     )
 
     i, j = int(np.argmax(hyp)), int(np.argmax(conc))
