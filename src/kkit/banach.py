@@ -26,6 +26,12 @@ DET_MIN = 1e-8
 SCAN_OFFSETS = 720
 REFINE_SUB = 16
 REFINE_TOL = 1e-12
+# Direction sample of the 3D signature matcher.
+SPATIAL_DESIGN = 1024
+# Newton steps per mu stage, a backstop: fixture sections end every stage on
+# a vanishing step within ~10; thin sections can reach it in early stages,
+# which only warm-start the next, while the two extrapolated stages converge.
+NEWTON_CAP = 100
 
 
 @dataclass
@@ -85,82 +91,81 @@ def quadratic_field(R: RTensor, p) -> np.ndarray:
 # ------------------------------------------------------- inscribed ellipsoid
 
 
+def _unpack(theta, k):
+    """(L, c) from theta = (log diag L, strict lower L, c)."""
+    L = np.diag(np.exp(theta[:k]))
+    L[np.tril_indices(k, -1)] = theta[k:-k]
+    return L, theta[-k:]
+
+
+def _barrier_value(ell, theta, mu):
+    """-log det L - mu sum_i log(1 - h_i), h_i = ell_i . c + |L^T ell_i|;
+    inf outside the constraints."""
+    k = ell.shape[1]
+    L, c = _unpack(theta, k)
+    s = 1.0 - ell @ c - np.linalg.norm(ell @ L, axis=1)
+    return -np.sum(theta[:k]) - mu * np.sum(np.log(s)) if s.min() > 0.0 else np.inf
+
+
+def _barrier_grad_hess(ell, theta, mu):
+    """Closed-form gradient and Hessian of _barrier_value at an interior theta.
+
+    With w_i = mu / (1 - h_i), U_i = L^T ell_i / |L^T ell_i| and J_i the
+    gradient of h_i: g = sum w_i J_i - [1_k; 0] and H = sum (w_i^2 / mu)
+    J_i J_i^T plus w_i times the Hessian of |L^T ell_i| on the L block, plus
+    g_d + 1 on each log-diagonal entry (chain rule through exp).
+    """
+    k = ell.shape[1]
+    L, c = _unpack(theta, k)
+    # L parameters in theta order: entry (j, q), scaled by dL_jq / dtheta
+    j, q = np.concatenate([np.diag_indices(k), np.tril_indices(k, -1)], axis=1)
+    V = ell @ L
+    n = np.linalg.norm(V, axis=1)
+    w = mu / (1.0 - ell @ c - n)
+    A = ell[:, j] * np.where(j == q, L[j, q], 1.0)
+    JL = A * (V / n[:, None])[:, q]
+    J = np.hstack([JL, ell])
+    g = J.T @ w
+    g[:k] -= 1.0
+    H = (J.T * (w * w / mu)) @ J
+    r = w / n
+    H[: len(j), : len(j)] += ((A.T * r) @ A) * (q[:, None] == q) - (JL.T * r) @ JL
+    H[np.diag_indices(k)] += g[:k] + 1.0
+    return g, H
+
+
 def max_inscribed_ellipsoid(functionals):
     """(M, c) of the maximal-volume ellipsoid {M u + c : |u| <= 1} inside
     {x : ell_i . x <= 1}, with M symmetric positive definite.
 
-    Log-det barrier with damped Newton along a mu continuation; the Hessian
-    is a finite difference of the analytic gradient with a step kept well
-    inside the current slacks.  The last two continuation stages are
-    Richardson-extrapolated to mu = 0 (the central path is smooth in mu),
-    which reaches the exact solution even when every sampled constraint is
-    active, as happens for smooth sections.
+    Damped Newton on the log-det barrier over theta = (log diag L, strict
+    lower L, c) with M = (L L^T)^(1/2), along a mu continuation; each step
+    takes one closed-form gradient and Hessian (_barrier_grad_hess) and an
+    Armijo line search, and each mu stage runs until the step vanishes (or
+    NEWTON_CAP steps).  The last two stages are Richardson-extrapolated to
+    mu = 0 (the central path is smooth in mu), which reaches the exact
+    solution even when every sampled constraint is active, as happens for
+    smooth sections.
     """
     ell = np.asarray(functionals, dtype=float)
-    m, k = ell.shape
-    tril = np.tril_indices(k, -1)
-    n_off = len(tril[0])
-    dim = 2 * k + n_off
-    ell_scale = np.linalg.norm(ell, axis=1).max()
-
-    def unpack(theta):
-        L = np.zeros((k, k))
-        L[np.diag_indices(k)] = np.exp(theta[:k])
-        L[tril] = theta[k : k + n_off]
-        c = theta[k + n_off :]
-        return L, c
-
-    def value_grad(theta, mu):
-        L, c = unpack(theta)
-        V = ell @ L
-        n = np.linalg.norm(V, axis=1)
-        s = 1.0 - ell @ c - n
-        if s.min() <= 0.0:
-            return np.inf, None, 0.0
-        f = -np.sum(theta[:k]) - mu * np.sum(np.log(s))
-        U = V / n[:, None]
-        w = mu / s
-        GL = np.einsum("i,ij,ik->jk", w, ell, U)
-        g = np.empty(dim)
-        g[:k] = -1.0 + np.diag(GL) * np.diag(L)
-        g[k : k + n_off] = GL[tril]
-        g[k + n_off :] = ell.T @ w
-        return f, g, float(s.min())
-
-    r0 = 0.45 / ell_scale
-    theta = np.zeros(dim)
-    theta[:k] = np.log(r0)
+    k = ell.shape[1]
+    theta = np.zeros(2 * k + k * (k - 1) // 2)
+    theta[:k] = np.log(0.45 / np.linalg.norm(ell, axis=1).max())
     stages = []
     mu = 1e-2
     while mu >= 0.999e-9:
-        for _ in range(40):
-            f, g, s_min = value_grad(theta, mu)
-            # probe step small against the active slacks so finite
-            # differences never cross the boundary
-            h = min(1e-6, 0.02 * s_min / (ell_scale * (1.0 + np.exp(theta[:k]).max())))
-            h = max(h, 1e-13)
-            H = np.empty((dim, dim))
-            for i in range(dim):
-                e = np.zeros(dim)
-                e[i] = h
-                _, gp, _ = value_grad(theta + e, mu)
-                _, gm, _ = value_grad(theta - e, mu)
-                if gp is None:
-                    gp = g
-                if gm is None:
-                    gm = g
-                H[i] = (gp - gm) / (2.0 * h)
-            H = 0.5 * (H + H.T)
+        for _ in range(NEWTON_CAP):
+            f = _barrier_value(ell, theta, mu)
+            g, H = _barrier_grad_hess(ell, theta, mu)
             try:
-                step = np.linalg.solve(H + 1e-14 * np.eye(dim), -g)
+                step = np.linalg.solve(H + 1e-14 * np.eye(len(theta)), -g)
             except np.linalg.LinAlgError:
                 step = -g
             if step @ g > 0:
                 step = -g
             alpha = 1.0
             while alpha > 1e-16:
-                fn, _, _ = value_grad(theta + alpha * step, mu)
-                if fn < f + 0.25 * alpha * (g @ step):
+                if _barrier_value(ell, theta + alpha * step, mu) < f + 0.25 * alpha * (g @ step):
                     break
                 alpha *= 0.5
             else:
@@ -172,8 +177,8 @@ def max_inscribed_ellipsoid(functionals):
         mu *= 0.1
 
     (mu1, th1), (mu2, th2) = stages[-2], stages[-1]
-    L1, c1 = unpack(th1)
-    L2, c2 = unpack(th2)
+    L1, c1 = _unpack(th1, k)
+    L2, c2 = _unpack(th2, k)
     E1, E2 = L1 @ L1.T, L2 @ L2.T
     # linear-in-mu extrapolation of the central path to mu = 0
     E = E2 + (E2 - E1) * (mu2 / (mu1 - mu2))
@@ -211,7 +216,7 @@ def _rot(a):
     return np.array([[np.cos(a), -np.sin(a)], [np.sin(a), np.cos(a)]])
 
 
-def _match_planar(sec1, M1, c1, sec2, M2, c2, offsets=SCAN_OFFSETS):
+def _match_planar(sec1, M1, c1, sec2, M2, c2):
     """Best rotation/reflection aligning two normalized planar signatures.
 
     Coarse scan over grid shifts (windows of the doubled signature, exact
@@ -219,25 +224,25 @@ def _match_planar(sec1, M1, c1, sec2, M2, c2, offsets=SCAN_OFFSETS):
     refinement of the shift with true radial re-evaluation.  Returns (map in
     frame coordinates, residual).
     """
-    ang = np.linspace(0.0, 2.0 * np.pi, offsets, endpoint=False)
+    ang = np.linspace(0.0, 2.0 * np.pi, SCAN_OFFSETS, endpoint=False)
     circle = np.column_stack([np.cos(ang), np.sin(ang)])
     r1 = _radials(sec1, M1, c1, circle)
     s2 = _radials(sec2, M2, c2, circle)
 
     def scan(r):
-        """max_i |r[(i + j) % offsets] - s2[i]| for every grid shift j."""
-        d = sliding_window_view(np.concatenate([r, r]), offsets)[:offsets] - s2
+        """max_i |r[(i + j) % SCAN_OFFSETS] - s2[i]| for every grid shift j."""
+        d = sliding_window_view(np.concatenate([r, r]), SCAN_OFFSETS)[:SCAN_OFFSETS] - s2
         return np.abs(d, out=d).max(axis=1)
 
-    # r1(theta_i + j d) = r1[(i + j) % offsets] on the shared grid, and the
-    # reflection r1(-theta_i + j d) = r1[::-1][(i - j - 1) % offsets]
+    # r1(theta_i + j d) = r1[(i + j) % SCAN_OFFSETS] on the shared grid, and the
+    # reflection r1(-theta_i + j d) = r1[::-1][(i - j - 1) % SCAN_OFFSETS]
     coarse = {+1: scan(r1), -1: scan(r1[::-1])[::-1]}
 
     def residuals(phis, flip):
         """Residual of every candidate shift, in one radial evaluation."""
         theta = flip * ang + np.asarray(phis)[:, None]
         pts = np.stack([np.cos(theta), np.sin(theta)], axis=-1).reshape(-1, 2)
-        r = _radials(sec1, M1, c1, pts).reshape(len(theta), offsets)
+        r = _radials(sec1, M1, c1, pts).reshape(len(theta), SCAN_OFFSETS)
         return np.abs(r - s2).max(axis=1)
 
     def refine(j0, flip):
@@ -247,7 +252,7 @@ def _match_planar(sec1, M1, c1, sec2, M2, c2, offsets=SCAN_OFFSETS):
         arc, and golden section started across such a plateau can stall
         above the minimum; a sub-grid scan first picks the lowest basin.
         """
-        step = 2.0 * np.pi / offsets
+        step = 2.0 * np.pi / SCAN_OFFSETS
         sub = ang[j0] + step * np.linspace(-1.0, 1.0, 2 * REFINE_SUB + 1)
         phi0 = sub[int(np.argmin(residuals(sub, flip)))]
         gr = (np.sqrt(5.0) - 1.0) / 2.0
@@ -298,9 +303,9 @@ def _signed_permutations():
     return _SIGNED_PERMS
 
 
-def _match_spatial(sec1, M1, c1, sec2, M2, c2, design=1024):
+def _match_spatial(sec1, M1, c1, sec2, M2, c2):
     """Heuristic 3D signature alignment over moment principal frames."""
-    dirs = sphere_directions(3, design)
+    dirs = sphere_directions(3, SPATIAL_DESIGN)
     r1 = _radials(sec1, M1, c1, dirs)
     r2 = _radials(sec2, M2, c2, dirs)
     P1 = dirs * r1[:, None]
@@ -323,15 +328,15 @@ def _section_match(body: Body, X1: Subspace, X2: Subspace, cache=None):
     if X1.dim != X2.dim or X1.dim not in (2, 3):
         raise ValueError("sections must share dimension k in {2, 3}")
 
+    cache = {} if cache is None else cache
+
     def canon(X):
-        if cache is not None and id(X) in cache:
-            return cache[id(X)]
-        sam = section_samples(body, X, 256)
-        M, c = max_inscribed_ellipsoid(sam.functionals)
-        out = (SectionBody(body, X), M, c)
-        if cache is not None:
-            cache[id(X)] = out
-        return out
+        # keyed on the frame bytes, so equal planes share one solve
+        key = X.frame.tobytes()
+        if key not in cache:
+            M, c = max_inscribed_ellipsoid(section_samples(body, X, 256).functionals)
+            cache[key] = (SectionBody(body, X), M, c)
+        return cache[key]
 
     sec1, M1, c1 = canon(X1)
     sec2, M2, c2 = canon(X2)

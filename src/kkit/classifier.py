@@ -44,7 +44,7 @@ from .linalg import (
     sphere_directions,
     subspace_angle,
 )
-from .quadform import reconstruct_global_form
+from .quadform import RECON_CAP, RECON_GRID, reconstruct_global_form
 
 # Dichotomy: lines this close to their median count as one constant line.
 CONSTANT_ANGLE = 1e-4
@@ -58,6 +58,9 @@ FIELD_SIGMA_MIN = 1e-3
 # Grids per axis of the projective cross-check and of each restriction slice.
 PHI_GRID = 3
 RESTRICTION_GRID = 3
+# Boundary points and kernel-plane angles of the dual support check.
+SUPPORT_POINTS = 32
+SUPPORT_ANGLES = 64
 
 
 @dataclass
@@ -236,30 +239,18 @@ def fit_projective_dual(
     return ProjectiveDual(F, resid)
 
 
-def support_check(
-    body: Body,
-    dual: ProjectiveDual,
-    m: int = 64,
-    tol: float = 1e-12,
-    region: GrassmannChart = None,
-    angles: int = 64,
-) -> float:
+def support_check(body: Body, dual: ProjectiveDual) -> float:
     """How deep the planes p + ker(F p) cut into the body, at worst.
 
-    For each of m boundary points the affine kernel plane is sampled on
-    angles x radii (radius 0 keeps p itself); the defect at p is
-    max(0, 1 - min gauge over the samples) and the check returns the max.
+    For each of SUPPORT_POINTS boundary points the affine kernel plane is
+    sampled on SUPPORT_ANGLES x radii (radius 0 keeps p itself); the defect
+    at p is max(0, 1 - min gauge over the samples) and the check returns the
+    max.
     """
-    if region is not None:
-        rng = np.random.default_rng(0)
-        Ms = region.sample(rng, count=m)
-        dirs = np.array([region.plane(M).frame @ rng.normal(size=region.base.dim) for M in Ms])
-    else:
-        dirs = sphere_directions(3, m)
     worst = 0.0
     radii = np.array([0.0, 0.25, 0.5, 1.0, 2.0, 4.0])
-    ang = np.linspace(0.0, np.pi, angles, endpoint=False)
-    for v in dirs:
+    ang = np.linspace(0.0, np.pi, SUPPORT_ANGLES, endpoint=False)
+    for v in sphere_directions(3, SUPPORT_POINTS):
         p = body.boundary_point(v)
         ell = dual.F @ p
         nrm = np.linalg.norm(ell)
@@ -271,8 +262,6 @@ def support_check(
         Q = p[None, :] + (radii[:, None, None] * U[None, :, :]).reshape(-1, 3)
         g = body.gauge_many(Q)
         worst = max(worst, max(0.0, 1.0 - float(g.min())))
-        if worst > tol and tol >= 1e-3:
-            break
     return worst
 
 
@@ -451,7 +440,7 @@ def _phi_cross_check(body, region, opts, verdict, form, generatrix, diagnostics,
         dual = fit_projective_dual(body, sample)
         counters["certificates"] += len(sample.pairs)
         diagnostics["dual_fit_residual"] = dual.fit_residual
-        diagnostics["dual_support_defect"] = support_check(body, dual, m=32)
+        diagnostics["dual_support_defect"] = support_check(body, dual)
         field_ok = True
         if verdict == "Ellipsoid":
             sec = section_samples(body, region.base, 64)
@@ -541,8 +530,8 @@ def classify(
     psd = None
     quadric_witness = (region.base, float("nan"))
     try:
-        counters["quadric_fits"] += len(list(region.grid(5, 32)))
-        form, psd = reconstruct_global_form(body, region, samples=256, seed=opts.seed)
+        counters["quadric_fits"] += len(list(region.grid(RECON_GRID, RECON_CAP)))
+        form, psd = reconstruct_global_form(body, region, seed=opts.seed)
         diagnostics["form_psd"] = psd
         diagnostics["form_rank"] = form.rank()
     except (NotLocallyQuadric, InconsistentPropagation) as exc:

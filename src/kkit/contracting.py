@@ -228,11 +228,11 @@ def _plane_layers(X: Subspace, per_ring: int = 32):
 
 
 def _batch_violation(body: Body, X: Subspace, Y0: Subspace, Ms, dirs):
-    """Coarse violation for a batch of direction coordinates (B, k, n-k)."""
-    n, k = X.ambient, X.dim
-    B = Ms.shape[0]
-    # frames of Y(M): n x (n-k); projector onto X along Y via block solve
-    out = np.empty(B)
+    """Coarse violation for a batch of direction coordinates (B, k, n-k).
+
+    Y0 is orthonormal and orthogonal to X, so the projector onto X along
+    span(Y0 + X M) is X (X^T - M Y0^T) in closed form.
+    """
     if isinstance(body, Polytope):
         test = body.vertices
         base = body.gauge_many(test)
@@ -241,27 +241,10 @@ def _batch_violation(body: Body, X: Subspace, Y0: Subspace, Ms, dirs):
         scale = np.where(g > _FLAT_TOL, g, 1.0)
         test = dirs / scale[:, None]
         base = np.where(g > _FLAT_TOL, 1.0, 0.0)
-    mats = np.empty((B, n, n))
-    mats[:, :, :k] = X.frame
-    mats[:, :, k:] = Y0.frame + np.einsum("ij,bjl->bil", X.frame, Ms)
-    try:
-        coeffs = np.linalg.solve(mats, np.broadcast_to(np.eye(n), (B, n, n)))
-    except np.linalg.LinAlgError:
-        for b in range(B):
-            try:
-                cb = np.linalg.solve(mats[b], np.eye(n))
-                out[b] = _sample_violation_mat(body, X.frame @ cb[:k], test, base)
-            except np.linalg.LinAlgError:
-                out[b] = np.inf
-        return out
-    P = np.einsum("ij,bjl->bil", X.frame, coeffs[:, :k])
-    proj = np.einsum("bij,mj->bmi", P, test).reshape(B * test.shape[0], n)
-    vals = body.gauge_many(proj).reshape(B, test.shape[0]) - base[None, :]
+    P = X.frame @ (X.frame.T - Ms @ Y0.frame.T)
+    proj = np.einsum("bij,mj->bmi", P, test).reshape(-1, X.ambient)
+    vals = body.gauge_many(proj).reshape(len(Ms), len(test)) - base[None, :]
     return vals.max(axis=1)
-
-
-def _sample_violation_mat(body, P, test, base):
-    return float(np.max(body.gauge_many(test @ P.T) - base))
 
 
 def _coords_of_direction(X: Subspace, Y0: Subspace, Y: Subspace):

@@ -25,6 +25,10 @@ DEGENERATE_RTOL = 1e-7
 PSD_RTOL = 1e-9
 # Fraction by which transversal basis vectors are tilted toward the base.
 MIXING = 0.9
+# Global reconstruction: fit grid per axis and cap, verification points.
+RECON_GRID = 5
+RECON_CAP = 32
+RECON_VERIFY = 512
 
 
 @dataclass
@@ -188,26 +192,19 @@ def compatible_basis(region: GrassmannChart):
     return np.column_stack(cols)
 
 
-def reconstruct_global_form(
-    body: Body,
-    region: GrassmannChart,
-    tol: float = FIT_TOL,
-    grid_per_axis: int = 5,
-    grid_cap: int = 32,
-    samples: int = 256,
-    seed: int = 0,
-):
+def reconstruct_global_form(body: Body, region: GrassmannChart, seed: int = 0):
     """Recover a global quadratic form matching gauge^2 over the region.
 
-    Every grid plane must first pass fit_section_quadric (else
-    NotLocallyQuadric); the form is then assembled from gauge^2 on a basis
-    compatible with the region and verified across it (else
-    InconsistentPropagation, carrying the worst plane).  Returns
-    (form, psd_flag); rank and eigenvalues come from the form itself.
+    Every plane of the RECON_GRID-per-axis grid (at most RECON_CAP) must
+    first pass fit_section_quadric (else NotLocallyQuadric); the form is then
+    assembled from gauge^2 on a basis compatible with the region and verified
+    across it to FIT_TOL (else InconsistentPropagation, carrying the worst
+    plane).  Returns (form, psd_flag); rank and eigenvalues come from the
+    form itself.
     """
-    for M in region.grid(grid_per_axis, grid_cap):
+    for M in region.grid(RECON_GRID, RECON_CAP):
         X = region.plane(M)
-        form, resid = fit_section_quadric(body, X, samples, tol)
+        form, resid = fit_section_quadric(body, X)
         if form is None:
             raise NotLocallyQuadric(X, resid)
 
@@ -218,10 +215,9 @@ def reconstruct_global_form(
         return g * g
 
     form = assemble_form(F, basis)
-    m = max(512, samples)
-    err = verify_form(F, form, region, m=m, seed=seed)
-    if err > tol:
+    err = verify_form(F, form, region, m=RECON_VERIFY, seed=seed)
+    if err > FIT_TOL:
         # the seeded check replays identically and names the worst plane
-        _, X = _worst_mismatch(F, form, region, m, seed)
+        _, X = _worst_mismatch(F, form, region, RECON_VERIFY, seed)
         raise InconsistentPropagation(X, err, "assembled form mismatches gauge^2")
     return form, form.is_psd()

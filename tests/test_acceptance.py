@@ -324,7 +324,7 @@ def test_criterion_09_collinearity_and_duality():
     dual = fit_projective_dual(body, sample)
     dual_err = np.abs(dual.F / np.linalg.norm(dual.F) - Q / np.linalg.norm(Q)).max()
     assert dual_err <= 1e-6
-    support = support_check(body, dual, m=32)
+    support = support_check(body, dual)
     assert support <= 1e-9
     print(
         f"\nPASS criterion 9: coplanarity defect on 100 triples {worst:.2e} <= 1e-8, "

@@ -6,6 +6,7 @@ from kkit.bodies import (
     Cylinder,
     Ellipsoid,
     Intersection,
+    PBall,
     Polytope,
     SectionBody,
     section_samples,
@@ -18,6 +19,8 @@ from kkit.banach import (
     max_inscribed_ellipsoid,
     quadratic_field,
     verify_R_tangency,
+    _barrier_grad_hess,
+    _barrier_value,
     _section_match,
 )
 from kkit.classifier import ClassifyOptions, classify
@@ -119,6 +122,48 @@ def test_inscribed_ellipsoid_triangle_centroid():
     ang = np.linspace(0.0, 2.0 * np.pi, 360, endpoint=False)
     u = np.column_stack([np.cos(ang), np.sin(ang)])
     assert tri.gauge_many(u @ M.T + c).max() <= 1.0 + 1e-9
+
+
+def test_inscribed_ellipsoid_thin_section():
+    # a thin section whose early mu stages take far more Newton steps than
+    # the fixtures need; stopping them at 40 steps left log det M at -6.47
+    # or -6.52 against the maximum -6.0761687
+    A = [[1.338, 0.935, 0.049], [2.002, 2.189, -0.633], [-0.378, -1.091, 0.722]]
+    X = Subspace.span([0.203, 0.632, 0.748], [0.858, -0.482, 0.174])
+    ell = section_samples(PBall(4.485, A), X, 256).functionals
+    M, c = max_inscribed_ellipsoid(ell)
+    assert np.linalg.slogdet(M)[1] >= -6.0761697
+    assert (ell @ c + np.linalg.norm(ell @ M, axis=1)).max() <= 1.0 + 1e-9
+
+
+def central_differences(f, theta, h=1e-6):
+    """Row i is (f(theta + h e_i) - f(theta - h e_i)) / 2h: the gradient of a
+    scalar f, or the finite-difference Hessian when f is the gradient."""
+    return np.array([(f(theta + e) - f(theta - e)) / (2.0 * h) for e in h * np.eye(len(theta))])
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_barrier_derivatives_match_finite_differences(k):
+    rng = np.random.default_rng(k)
+    ell = rng.normal(size=(40, k))
+    scale = np.linalg.norm(ell, axis=1).max()
+    n_off = k * (k - 1) // 2
+    for _ in range(5):
+        # random interior point: every slack stays above ~0.4
+        theta = np.concatenate(
+            [
+                np.log(0.3 / scale) + 0.2 * rng.normal(size=k),
+                0.1 / scale * rng.normal(size=n_off),
+                0.1 / scale * rng.normal(size=k),
+            ]
+        )
+        mu = 10.0 ** rng.uniform(-4.0, -1.0)
+        g, H = _barrier_grad_hess(ell, theta, mu)
+        fd_g = central_differences(lambda t: _barrier_value(ell, t, mu), theta)
+        assert np.abs(g - fd_g).max() <= 1e-6 * (1.0 + np.abs(g).max())
+        fd_H = central_differences(lambda t: _barrier_grad_hess(ell, t, mu)[0], theta)
+        assert np.abs(H - fd_H).max() <= 1e-6 * np.abs(H).max()
+        assert np.abs(H - H.T).max() <= 1e-13 * np.abs(H).max()
 
 
 # ----------------------------------------------------------- linear equivalence
@@ -370,6 +415,27 @@ def test_planar_match_is_rounding_stable(monkeypatch):
     )
     for X in corners:
         assert _section_match(body, XY, X)[1] == pytest.approx(0.12951342823, abs=1e-10)
+
+
+def test_section_match_cache_keys_on_plane_bytes(monkeypatch):
+    # an equal plane built as a new object reuses the cached solve, as the
+    # zero-coordinate chart plane does for the chart base
+    solves = []
+    solve = banach_module.max_inscribed_ellipsoid
+    monkeypatch.setattr(
+        banach_module, "max_inscribed_ellipsoid", lambda L: solves.append(1) or solve(L)
+    )
+    body = Ellipsoid(np.diag([1.0, 2.0, 3.0]))
+    region = GrassmannChart(XY, 0.35)
+    X = Subspace.span([1.0, 0.2, 0.0], [0.0, 1.0, 0.3])
+    cache = {}
+    _section_match(body, region.base, X, cache=cache)
+    assert len(solves) == 2
+    rebuilt = Subspace.span([1.0, 0.2, 0.0], [0.0, 1.0, 0.3])
+    assert rebuilt is not X
+    _section_match(body, region.plane(np.zeros((1, 2))), rebuilt, cache=cache)
+    assert len(solves) == 2
+    assert len(cache) == 2
 
 
 def test_banach_worst_pair_keeps_the_first_of_rounding_ties(monkeypatch):

@@ -271,11 +271,11 @@ def test_support_check_accepts_truth_and_flags_corruption():
     Q = np.diag([1.0, 2.0, 3.0])
     body = Ellipsoid(Q)
     good = ProjectiveDual(Q / np.linalg.norm(Q), 0.0)
-    assert support_check(body, good, m=32) <= 1e-9
+    assert support_check(body, good) <= 1e-9
     C = Q.copy()
     C[0, 1] = C[1, 0] = 0.1 * np.linalg.norm(Q)
     bad = ProjectiveDual(C / np.linalg.norm(C), 0.0)
-    assert support_check(body, bad, m=32) > 1e-3
+    assert support_check(body, bad) > 1e-3
 
 
 # ------------------------------------------------------- tangent linear field
