@@ -18,6 +18,7 @@ from .bodies import Body, SectionBody, section_samples
 from .classifier import ClassifyOptions, classify
 from .errors import HypothesisFailed
 from .linalg import GrassmannChart, Subspace, sphere_directions
+from .tally import counting, tally
 
 # Equivalence witnesses must stay honestly invertible.
 DET_MIN = 1e-8
@@ -147,6 +148,7 @@ def max_inscribed_ellipsoid(functionals):
     solution even when every sampled constraint is active, as happens for
     smooth sections.
     """
+    tally("inscribed_solves")
     ell = np.asarray(functionals, dtype=float)
     k = ell.shape[1]
     theta = np.zeros(2 * k + k * (k - 1) // 2)
@@ -447,7 +449,6 @@ def verify_R_tangency(body: Body, X: Subspace, R: RTensor, m: int = 64, tol: flo
 def banach_classify(
     body: Body,
     region: GrassmannChart,
-    k: int = None,
     tol: float = 1e-6,
     opts: ClassifyOptions = None,
 ):
@@ -458,10 +459,9 @@ def banach_classify(
     plus 32 random pairs from the region.  Any pair beyond tol raises
     HypothesisFailed carrying the worst pair; on success the report gains
     the equivalence diagnostics (including whether the 3D heuristic matcher
-    was involved).
+    was involved), and its counters cover the pair checks as well.
     """
-    k = region.base.dim if k is None else k
-    if k != region.base.dim or k not in (2, 3):
+    if region.base.dim not in (2, 3):
         raise ValueError("banach_classify runs over regions of 2- or 3-planes")
     opts = opts or ClassifyOptions()
     rng = np.random.default_rng(opts.seed)
@@ -475,18 +475,19 @@ def banach_classify(
     worst_res = 0.0
     worst_fail = None
     heuristic = False
-    for Xa, Xb in pairs:
-        _, res, heur = _section_match(body, Xa, Xb, cache=cache)
-        heuristic = heuristic or heur
-        worst_res = max(worst_res, res)
-        # a pair replaces the worst only by a clear margin, so rounding-level
-        # ties between symmetric pairs keep the first one found
-        if res > tol and (worst_fail is None or res > worst_fail[1] * (1.0 + 1e-9)):
-            worst_fail = ((Xa, Xb), res)
-    if worst_fail is not None:
-        raise HypothesisFailed(worst_fail[0], worst_fail[1])
-
-    report = classify(body, region, opts=opts)
+    with counting() as counts:
+        for Xa, Xb in pairs:
+            _, res, heur = _section_match(body, Xa, Xb, cache=cache)
+            heuristic = heuristic or heur
+            worst_res = max(worst_res, res)
+            # a pair replaces the worst only by a clear margin, so rounding-level
+            # ties between symmetric pairs keep the first one found
+            if res > tol and (worst_fail is None or res > worst_fail[1] * (1.0 + 1e-9)):
+                worst_fail = ((Xa, Xb), res)
+        if worst_fail is not None:
+            raise HypothesisFailed(worst_fail[0], worst_fail[1])
+        report = classify(body, region, opts=opts)
+    report.counters = counts
     report.diagnostics["banach_pairs"] = len(pairs)
     report.diagnostics["banach_worst_residual"] = worst_res
     report.diagnostics["equivalence_heuristic"] = heuristic

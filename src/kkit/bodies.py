@@ -22,6 +22,7 @@ from .errors import (
     UnboundedSection,
 )
 from .linalg import Subspace, projector, sphere_directions
+from .tally import tally
 
 # Boundary membership tolerance for support functional preconditions.
 BOUNDARY_TOL = 1e-9
@@ -325,6 +326,7 @@ def section_samples(body: Body, plane: Subspace, m: int = 256) -> SectionSample:
     UnboundedSection if the section has empty interior in some direction
     (vanishing gauge).
     """
+    tally("sections_sampled")
     dirs = sphere_directions(plane.dim, m)
     amb = dirs @ plane.frame.T
     g = body.gauge_many(amb)

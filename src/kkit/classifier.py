@@ -44,7 +44,8 @@ from .linalg import (
     sphere_directions,
     subspace_angle,
 )
-from .quadform import RECON_CAP, RECON_GRID, reconstruct_global_form
+from .quadform import reconstruct_global_form
+from .tally import counting, tally
 
 # Dichotomy: lines this close to their median count as one constant line.
 CONSTANT_ANGLE = 1e-4
@@ -366,7 +367,7 @@ class ClassificationReport:
     verdict: str
     witness: dict
     diagnostics: dict
-    counters: dict
+    counters: dict = None
     form: object = None
     generatrix: Subspace = None
     base_plane: Subspace = None
@@ -398,7 +399,7 @@ def _plain(x):
     return x
 
 
-def _phi_cross_check(body, region, opts, verdict, form, generatrix, diagnostics, counters):
+def _phi_cross_check(body, region, opts, verdict, form, generatrix, diagnostics):
     """Stage (d): the projective pipeline must predict the same verdict."""
 
     def hints(X):
@@ -421,7 +422,6 @@ def _phi_cross_check(body, region, opts, verdict, form, generatrix, diagnostics,
             hints=hints,
             count_multiplicity=form is None and generatrix is None,
         )
-        counters["direction_searches"] += len(sample.pairs)
         diagnostics["phi_continuity_defect"] = sample.continuity_defect
         outcome = injectivity_test(sample)
     except (NoGeneratrix, AmbiguousDichotomy) as exc:
@@ -438,13 +438,11 @@ def _phi_cross_check(body, region, opts, verdict, form, generatrix, diagnostics,
     diagnostics["phi_outcome"] = "Injective"
     try:
         dual = fit_projective_dual(body, sample)
-        counters["certificates"] += len(sample.pairs)
         diagnostics["dual_fit_residual"] = dual.fit_residual
         diagnostics["dual_support_defect"] = support_check(body, dual)
         field_ok = True
         if verdict == "Ellipsoid":
             sec = section_samples(body, region.base, 64)
-            counters["sections_sampled"] += 1
             W, resid = tangent_field_fit(sec)
             diagnostics["tangent_field_residual"] = resid
             field_ok = W is not None
@@ -489,10 +487,7 @@ def _restriction_cross_check(body, region, opts, verdict, diagnostics):
 
 
 def classify(
-    body: Body,
-    region: GrassmannChart,
-    tol: float = None,
-    opts: ClassifyOptions = None,
+    body: Body, region: GrassmannChart, opts: ClassifyOptions = None
 ) -> ClassificationReport:
     """Ellipsoid / Cylinder / NonKakutani over the swept region.
 
@@ -503,21 +498,19 @@ def classify(
     Cylinder; neither is NonKakutani with the strongest structural failure
     as witness.  Cross-checks (projective pipeline for 3-dimensional
     bodies, hyperplane-restriction sweep above codimension one) land in
-    diagnostics and never override the verdict.
+    diagnostics and never override the verdict.  The report's counters
+    tally the work done, cross-checks included.
     """
-    opts = opts or ClassifyOptions()
-    if tol is not None:
-        opts = ClassifyOptions(**{**opts.__dict__, "tol": tol})
+    with counting() as counts:
+        report = _classify(body, region, opts or ClassifyOptions())
+    report.counters = counts
+    return report
+
+
+def _classify(body, region, opts):
     n, k = region.base.ambient, region.base.dim
     if k < 2 or n < k + 1:
         raise ValueError("region must sweep k-planes with 2 <= k <= n-1")
-    counters = {
-        "planes_swept": 0,
-        "direction_searches": 0,
-        "certificates": 0,
-        "quadric_fits": 0,
-        "sections_sampled": 0,
-    }
     diagnostics = {}
     coords = list(region.grid(opts.grid_per_axis))
     planes = [region.plane(M) for M in coords]
@@ -530,7 +523,6 @@ def classify(
     psd = None
     quadric_witness = (region.base, float("nan"))
     try:
-        counters["quadric_fits"] += len(list(region.grid(RECON_GRID, RECON_CAP)))
         form, psd = reconstruct_global_form(body, region, seed=opts.seed)
         diagnostics["form_psd"] = psd
         diagnostics["form_rank"] = form.rank()
@@ -558,8 +550,7 @@ def classify(
     directions = []
     warm = []
     for i, X in enumerate(planes):
-        counters["planes_swept"] += 1
-        counters["direction_searches"] += 1
+        tally("planes_swept")
         lines = ([predict(X)] if predict is not None else []) + warm[:2]
         search = DirectionSearch(
             tol=opts.tol,
@@ -572,7 +563,6 @@ def classify(
                 "NonKakutani",
                 {"witness_plane": X.frame, "violation": res.best_violation},
                 {**diagnostics, "failed_coords": coords[i].tolist()},
-                counters,
             )
         directions.append(res.found[0].direction)
         if i == 0:
@@ -586,7 +576,6 @@ def classify(
                 "Ellipsoid",
                 {"form": form.ambient_coeffs, "psd": True, "rank": rank},
                 diagnostics,
-                counters,
                 form=form,
             )
         else:
@@ -600,7 +589,6 @@ def classify(
                     "rank": rank,
                 },
                 diagnostics,
-                counters,
                 form=form,
                 generatrix=generatrix,
                 base_plane=region.base,
@@ -608,8 +596,7 @@ def classify(
         if opts.cross_checks:
             if n == 3 and k == 2:
                 _phi_cross_check(
-                    body, region, opts, report.verdict, form,
-                    report.generatrix, diagnostics, counters,
+                    body, region, opts, report.verdict, form, report.generatrix, diagnostics
                 )
             if n > k + 1:
                 _restriction_cross_check(body, region, opts, report.verdict, diagnostics)
@@ -617,23 +604,18 @@ def classify(
 
     # (c) constant direction: cylinder over the base section
     L0 = directions[0]
-    counters["certificates"] += len(planes)
-    counters["sections_sampled"] += len(planes)
     cyl = shared_generatrix_cylinder(body, planes, L0, opts.tol)
     if cyl is not None:
         report = ClassificationReport(
             "Cylinder",
             {"generatrix": L0.frame, "base_plane": region.base.frame},
             diagnostics,
-            counters,
             generatrix=L0,
             base_plane=region.base,
         )
         if opts.cross_checks:
             if n == 3 and k == 2:
-                _phi_cross_check(
-                    body, region, opts, report.verdict, None, L0, diagnostics, counters
-                )
+                _phi_cross_check(body, region, opts, report.verdict, None, L0, diagnostics)
             if n > k + 1:
                 _restriction_cross_check(body, region, opts, report.verdict, diagnostics)
         return report
@@ -647,5 +629,4 @@ def classify(
         "NonKakutani",
         {"witness_plane": wplane.frame, "violation": wviol},
         diagnostics,
-        counters,
     )

@@ -33,6 +33,7 @@ from .contracting import DirectionSearch, find_contracting_direction, is_contrac
 from .errors import HypothesisFailed, KkitError
 from .linalg import GrassmannChart, Subspace
 from .quadform import fit_section_quadric
+from .tally import counting
 
 SVG_SIZE = 800
 SVG_MARGIN = 48
@@ -228,7 +229,8 @@ def cmd_banach(args) -> int:
     echo = _config_echo(args, body=args.body, region=args.region)
     kw = {"tol": args.tol} if args.tol is not None else {}
     try:
-        report = banach_classify(body, region, opts=_options(args), **kw)
+        with counting() as timings:
+            doc = banach_classify(body, region, opts=_options(args), **kw).to_dict()
     except HypothesisFailed as exc:
         Xa, Xb = exc.pair
         doc = {
@@ -238,12 +240,8 @@ def cmd_banach(args) -> int:
                 "residual": float(exc.residual),
             },
             "diagnostics": {},
-            "timings": {},
-            "config_echo": echo,
+            "timings": timings,
         }
-        write_report(doc, args.report)
-        return 2
-    doc = report.to_dict()
     doc["config_echo"] = echo
     write_report(doc, args.report)
     return _verdict_exit(doc["verdict"])
@@ -256,25 +254,24 @@ def cmd_contract(args) -> int:
     echo = _config_echo(
         args, body=args.body, plane=args.plane, direction=args.direction or ""
     )
-    if args.direction:
-        Y = load_plane(args.direction)
-        cert = is_contracting(body, X, Y, tol=tol)
-        verdict = "Contracting" if cert.holds else "NotContracting"
-        witness = {
-            "direction": _frame_cols(Y),
-            "plane": _frame_cols(X),
-            "violation": float(cert.violation),
-        }
-        timings = {"certificates": 1, "direction_searches": 0}
-    else:
-        res = find_contracting_direction(body, X, opts=DirectionSearch(tol=tol))
-        verdict = "Contracting" if res else "NotContracting"
-        witness = {
-            "best_violation": float(res.best_violation),
-            "directions": [_frame_cols(Y) for Y in res.directions],
-            "plane": _frame_cols(X),
-        }
-        timings = {"certificates": len(res.found), "direction_searches": 1}
+    with counting() as timings:
+        if args.direction:
+            Y = load_plane(args.direction)
+            cert = is_contracting(body, X, Y, tol=tol)
+            verdict = "Contracting" if cert.holds else "NotContracting"
+            witness = {
+                "direction": _frame_cols(Y),
+                "plane": _frame_cols(X),
+                "violation": float(cert.violation),
+            }
+        else:
+            res = find_contracting_direction(body, X, opts=DirectionSearch(tol=tol))
+            verdict = "Contracting" if res else "NotContracting"
+            witness = {
+                "best_violation": float(res.best_violation),
+                "directions": [_frame_cols(Y) for Y in res.directions],
+                "plane": _frame_cols(X),
+            }
     doc = {
         "verdict": verdict,
         "witness": witness,
@@ -327,8 +324,9 @@ def cmd_section(args) -> int:
     if X.dim != 2:
         raise CliError("section plots need a 2-dimensional plane")
     echo = _config_echo(args, body=args.body, plane=args.plane)
-    sample = section_samples(body, X, SVG_SEGMENTS)
-    form, resid = fit_section_quadric(body, X)
+    with counting() as timings:
+        sample = section_samples(body, X, SVG_SEGMENTS)
+        form, resid = fit_section_quadric(body, X)
     overlay = None
     if form is not None:
         # boundary of {p.Cp <= 1} traced at the same angular resolution
@@ -349,7 +347,7 @@ def cmd_section(args) -> int:
             "svg": str(out),
         },
         "diagnostics": {"segments": SVG_SEGMENTS},
-        "timings": {"quadric_fits": 1, "sections_sampled": 1},
+        "timings": timings,
         "config_echo": echo,
     }
     write_report(doc, args.report)

@@ -13,12 +13,14 @@ import numpy as np
 from scipy.spatial.distance import cdist
 
 from .bodies import Body, Cylinder, Polytope, SectionBody, section_samples
+from .errors import NonComplementary
 from .linalg import (
     Subspace,
     projector,
     sphere_directions,
     subspace_angle,
 )
+from .tally import tally
 
 # Default certification tolerance; polytope checks are exact, sampled checks
 # carry refinement, so a tight default is safe.
@@ -47,9 +49,8 @@ class ContractionCertificate:
     worst: np.ndarray = None
 
 
-def _boundary_sample(body: Body, m: int):
-    """Gauge-normalized sample directions; flat directions stay unnormalized."""
-    dirs = sphere_directions(body.dim, m)
+def _boundary_sample(body: Body, dirs):
+    """Directions scaled onto the boundary, with their gauges (0 when flat)."""
     g = body.gauge_many(dirs)
     scale = np.where(g > _FLAT_TOL, g, 1.0)
     return dirs / scale[:, None], np.where(g > _FLAT_TOL, 1.0, 0.0)
@@ -66,10 +67,7 @@ def _refine_violation(body: Body, P, seeds, start_val: float, step0: float = 0.0
     best = start_val
 
     def evaluate(U):
-        g = body.gauge_many(U)
-        scale = np.where(g > _FLAT_TOL, g, 1.0)
-        B = U / scale[:, None]
-        bg = np.where(g > _FLAT_TOL, 1.0, 0.0)
+        B, bg = _boundary_sample(body, U)
         return body.gauge_many(B @ P.T) - bg
 
     vals = evaluate(pts)
@@ -118,6 +116,7 @@ def is_contracting(
     within tol.  Exact for Polytope bodies (projected vertices), sampled and
     refined otherwise.
     """
+    tally("certificates")
     P = projector(X, Y)
     if isinstance(body, Polytope):
         V = body.vertices
@@ -125,7 +124,7 @@ def is_contracting(
         i = int(np.argmax(v))
         viol = float(v[i])
         return ContractionCertificate(X, Y, viol, viol <= tol, V[i])
-    pts, base_gauge = _boundary_sample(body, CERT_SAMPLES)
+    pts, base_gauge = _boundary_sample(body, sphere_directions(body.dim, CERT_SAMPLES))
     proj_gauge = body.gauge_many(pts @ P.T)
     v = proj_gauge - base_gauge
     order = np.argsort(v)[::-1]
@@ -237,10 +236,7 @@ def _batch_violation(body: Body, X: Subspace, Y0: Subspace, Ms, dirs):
         test = body.vertices
         base = body.gauge_many(test)
     else:
-        g = body.gauge_many(dirs)
-        scale = np.where(g > _FLAT_TOL, g, 1.0)
-        test = dirs / scale[:, None]
-        base = np.where(g > _FLAT_TOL, 1.0, 0.0)
+        test, base = _boundary_sample(body, dirs)
     P = X.frame @ (X.frame.T - Ms @ Y0.frame.T)
     proj = np.einsum("bij,mj->bmi", P, test).reshape(-1, X.ambient)
     vals = body.gauge_many(proj).reshape(len(Ms), len(test)) - base[None, :]
@@ -332,6 +328,7 @@ def find_contracting_direction(
     certified first; with opts.first_only the first certified direction short
     circuits the search.
     """
+    tally("direction_searches")
     opts = opts or DirectionSearch()
     n, k = X.ambient, X.dim
     Y0 = X.orthogonal_complement()
@@ -346,7 +343,7 @@ def find_contracting_direction(
             continue
         try:
             cert = is_contracting(body, X, Yc, opts.tol)
-        except Exception:
+        except NonComplementary:
             continue
         best_viol = min(best_viol, cert.violation)
         if cert.holds:

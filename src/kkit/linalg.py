@@ -77,14 +77,6 @@ class Subspace:
         r = v - self.frame @ (self.frame.T @ v)
         return np.linalg.norm(r) <= tol * max(1.0, np.linalg.norm(v))
 
-    def coords(self, v):
-        """Frame coordinates of an ambient vector (orthogonal coordinates)."""
-        return self.frame.T @ np.asarray(v, dtype=float)
-
-    def embed(self, u):
-        """Ambient vector for frame coordinates u."""
-        return self.frame @ np.asarray(u, dtype=float)
-
     def orthogonal_complement(self):
         n, k = self.frame.shape
         if k == 0:

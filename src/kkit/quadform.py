@@ -16,6 +16,7 @@ import numpy as np
 from .bodies import Body, section_samples
 from .errors import InconsistentPropagation, NotLocallyQuadric
 from .linalg import GrassmannChart, Subspace
+from .tally import tally
 
 # Default relative residual for fits and verification.
 FIT_TOL = 1e-6
@@ -90,57 +91,49 @@ class SymmetricForm:
         return Subspace(U[:, keep])
 
 
-def assemble_form(F, basis) -> SymmetricForm:
+def assemble_form(F_many, basis) -> SymmetricForm:
     """Assemble the form from F sampled on basis vectors and their pair sums.
 
-    F must be quadratic on each coordinate plane of the basis; the diagonal
-    is c_ii = F(v_i) and the off-diagonal comes from polarization.  The
-    returned form keeps the exact polarization matrix as its coefficients
-    (tagged with the dual basis), so no inversion error touches them.
+    F_many maps rows of vectors to their F values, and F must be quadratic on
+    each coordinate plane of the basis; the diagonal is c_ii = F(v_i) and the
+    off-diagonal comes from polarization.  The returned form keeps the exact
+    polarization matrix as its coefficients (tagged with the dual basis), so
+    no inversion error touches them.
     """
     basis = np.asarray(basis, dtype=float)
     n = basis.shape[1]
-    diag = np.array([F(basis[:, i]) for i in range(n)])
+    i, j = np.triu_indices(n, 1)
+    V = basis.T
+    vals = F_many(np.vstack([V, V[i] + V[j]]))
+    diag = vals[:n]
     C = np.diag(diag)
-    for i in range(n):
-        for j in range(i + 1, n):
-            C[i, j] = C[j, i] = 0.5 * (F(basis[:, i] + basis[:, j]) - diag[i] - diag[j])
+    C[i, j] = C[j, i] = 0.5 * (vals[n:] - diag[i] - diag[j])
     return SymmetricForm(C, basis=np.linalg.inv(basis).T)
 
 
-def verify_form(
-    F,
-    form: SymmetricForm,
-    region: GrassmannChart,
-    m: int = 512,
-    seed: int = 0,
-) -> float:
-    """Max relative mismatch |F(p) - Q(p)| / max(1, |Q(p)|) over the region.
+def verify_form(F_many, form: SymmetricForm, region: GrassmannChart, m: int = 512, seed: int = 0):
+    """(worst, plane): the max relative mismatch |F(p) - Q(p)| / max(1, |Q(p)|)
+    over the region, and the chart plane attaining it.
 
-    Points are drawn from random chart planes at random in-plane directions
-    and radii in [0.5, 1.5], seeded for reproducibility.
+    F_many maps rows of points to their F values.  Points are drawn from
+    random chart planes at random in-plane directions and radii in
+    [0.5, 1.5], seeded for reproducibility, and checked in one batch.
     """
-    return _worst_mismatch(F, form, region, m, seed)[0]
-
-
-def _worst_mismatch(F, form, region, m, seed):
-    """verify_form's maximum together with the chart plane attaining it."""
     rng = np.random.default_rng(seed)
     k = region.base.dim
-    worst, worst_plane = 0.0, region.base
-    planes = region.sample(rng, count=max(1, m // 16))
-    for M in planes:
+    planes, P = [], []
+    for M in region.sample(rng, count=max(1, m // 16)):
         X = region.plane(M)
         U = rng.normal(size=(16, k))
         U /= np.linalg.norm(U, axis=1)[:, None]
-        r = rng.uniform(0.5, 1.5, size=16)
-        P = (U * r[:, None]) @ X.frame.T
-        for p in P:
-            q = form(p)
-            err = abs(F(p) - q) / max(1.0, abs(q))
-            if err > worst:
-                worst, worst_plane = err, X
-    return worst, worst_plane
+        planes.append(X)
+        P.append((U * rng.uniform(0.5, 1.5, size=(16, 1))) @ X.frame.T)
+    P = np.vstack(P)
+    q = form.evaluate_many(P)
+    err = np.abs(F_many(P) - q) / np.maximum(1.0, np.abs(q))
+    per_plane = err.reshape(len(planes), -1).max(axis=1)
+    i = int(np.argmax(per_plane))
+    return float(per_plane[i]), planes[i]
 
 
 def fit_section_quadric(
@@ -155,6 +148,7 @@ def fit_section_quadric(
     stays within tol and the form is positive definite.  The form refers to
     the plane's frame coordinates via its basis tag.
     """
+    tally("quadric_fits")
     sample = section_samples(body, X, m)
     pts = sample.points
     k = X.dim
@@ -208,16 +202,11 @@ def reconstruct_global_form(body: Body, region: GrassmannChart, seed: int = 0):
         if form is None:
             raise NotLocallyQuadric(X, resid)
 
-    basis = compatible_basis(region)
+    def F_many(V):
+        return body.gauge_many(V) ** 2
 
-    def F(v):
-        g = body.gauge(v)
-        return g * g
-
-    form = assemble_form(F, basis)
-    err = verify_form(F, form, region, m=RECON_VERIFY, seed=seed)
+    form = assemble_form(F_many, compatible_basis(region))
+    err, X = verify_form(F_many, form, region, m=RECON_VERIFY, seed=seed)
     if err > FIT_TOL:
-        # the seeded check replays identically and names the worst plane
-        _, X = _worst_mismatch(F, form, region, RECON_VERIFY, seed)
         raise InconsistentPropagation(X, err, "assembled form mismatches gauge^2")
     return form, form.is_psd()

@@ -7,6 +7,7 @@ criterion either way.
 
 import json
 import re
+import sys
 import time
 from pathlib import Path
 
@@ -42,6 +43,7 @@ from kkit.contracting import (
 from kkit.errors import HypothesisFailed
 from kkit.linalg import GrassmannChart, Subspace, random_subspace, subspace_angle
 from kkit.quadform import assemble_form
+from kkit.tally import COUNTERS
 
 from conftest import disk_cylinder, lp_gauge, random_polytope, random_spd, rng
 
@@ -241,7 +243,7 @@ def test_criterion_07_quadform_assembly():
         n = int(r.integers(2, 6))
         Q = random_spd(r, n, cond=10.0)
         V = r.normal(size=(n, n)) + 2.0 * np.eye(n)
-        form = assemble_form(lambda v: float(v @ Q @ v), V)
+        form = assemble_form(lambda P: np.einsum("mi,ij,mj->m", P, Q, P), V)
         target = V.T @ Q @ V
         err = np.abs(form.coeffs - target).max() / np.abs(target).max()
         assert err <= 1e-10
@@ -250,7 +252,8 @@ def test_criterion_07_quadform_assembly():
     worst3 = 0.0
     for _ in range(25):
         Q = random_spd(r, 2, cond=10.0)
-        three = assemble_form(lambda v: float(v @ Q @ v), np.eye(2)).ambient_coeffs
+        F = lambda P: np.einsum("mi,ij,mj->m", P, Q, P)
+        three = assemble_form(F, np.eye(2)).ambient_coeffs
         ang = np.linspace(0.0, np.pi, 128, endpoint=False)
         U = np.column_stack([np.cos(ang), np.sin(ang)])
         cols = np.column_stack([U[:, 0] ** 2, 2 * U[:, 0] * U[:, 1], U[:, 1] ** 2])
@@ -480,3 +483,52 @@ def test_criterion_11_cli_determinism(tmp_path):
         f"\nPASS criterion 11: byte-identical reports on two consecutive runs "
         f"for {len(CLI_RUNS)} fixture commands, each matching its golden"
     )
+
+
+def test_timings_count_the_work(tmp_path, monkeypatch):
+    """Every timings entry equals the calls of the function it counts."""
+    import kkit
+    from kkit import banach, bodies, classifier, cli, contracting, quadform
+
+    keys = {
+        contracting.is_contracting: "certificates",
+        contracting.find_contracting_direction: "direction_searches",
+        banach.max_inscribed_ellipsoid: "inscribed_solves",
+        quadform.fit_section_quadric: "quadric_fits",
+        bodies.section_samples: "sections_sampled",
+    }
+    calls = {}
+
+    def wrap(fn, key):
+        def counted(*args, **kwargs):
+            calls[key] += 1
+            # each search of classify's own sweep is one swept plane
+            if key == "direction_searches" and sys._getframe(1).f_code.co_name == "_classify":
+                calls["planes_swept"] += 1
+            return fn(*args, **kwargs)
+
+        return counted
+
+    wrappers = {id(fn): wrap(fn, key) for fn, key in keys.items()}
+    for mod in (kkit, banach, bodies, classifier, cli, contracting, quadform):
+        for attr, obj in list(vars(mod).items()):
+            if id(obj) in wrappers:
+                monkeypatch.setattr(mod, attr, wrappers[id(obj)])
+
+    report = tmp_path / "report.json"
+    for argv in CLI_RUNS:
+        cmd = [argv[0]] + [str(FIX / a) for a in argv[1:]]
+        if cmd[0] in ("classify", "banach"):
+            cmd += ["--grid", "3"]
+        calls.update(dict.fromkeys(COUNTERS, 0))
+        main(cmd + ["--report", str(report), "--svg", str(tmp_path / "out.svg")])
+        assert json.loads(report.read_text())["timings"] == calls, argv
+
+    # n = 4, k = 2: the restriction slices run classify in nested scopes
+    r = np.random.default_rng(9)
+    Q = random_spd(r, 4, cond=10.0)
+    region = GrassmannChart(random_subspace(r, 4, 2), 0.15)
+    calls.update(dict.fromkeys(COUNTERS, 0))
+    rep = classify(Ellipsoid(Q), region, opts=ClassifyOptions(grid_per_axis=2))
+    assert rep.diagnostics["restriction_verdicts"] == ["Ellipsoid", "Ellipsoid"]
+    assert rep.counters == calls and calls["planes_swept"] > 16

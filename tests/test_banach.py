@@ -454,5 +454,7 @@ def test_banach_worst_pair_keeps_the_first_of_rounding_ties(monkeypatch):
 
 
 def test_banach_classify_rejects_bad_k():
+    # a chart of 4-planes in R^5
+    region = GrassmannChart(Subspace.coordinate(5, 0, 1, 2, 3), 0.2)
     with pytest.raises(ValueError):
-        banach_classify(Ellipsoid(np.eye(3)), GrassmannChart(XY, 0.2), k=3)
+        banach_classify(Ellipsoid(np.eye(5)), region)

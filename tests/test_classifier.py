@@ -388,6 +388,7 @@ def test_classify_report_deterministic():
     b = classify(body, region).to_dict()
     assert a == b
     assert set(a["timings"]) == {
+        "inscribed_solves",
         "planes_swept",
         "direction_searches",
         "certificates",

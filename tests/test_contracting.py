@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import kkit.contracting as contracting_module
 from kkit.bodies import Cylinder, Ellipsoid, PBall, Polytope
 from kkit.contracting import (
     DirectionSearch,
@@ -111,6 +112,27 @@ def test_warm_start_short_circuits():
     opts = DirectionSearch(warm=(Subspace.coordinate(4, 3), XY, Z), first_only=True)
     res = find_contracting_direction(body, XY, opts)
     assert res and subspace_angle(res.found[0].direction, Z) == 0.0
+
+
+def test_warm_certificate_errors_propagate(monkeypatch):
+    # a numerically degenerate candidate (a line inside the plane) is skipped
+    body = Ellipsoid(np.diag([1.0, 2.0, 3.0]))
+    opts = DirectionSearch(warm=(Subspace.coordinate(3, 0), Z), first_only=True)
+    assert subspace_angle(find_contracting_direction(body, XY, opts).found[0].direction, Z) == 0.0
+    # any other failure of a warm certificate is raised, not turned into a
+    # silent cold search
+    real = contracting_module.is_contracting
+    calls = []
+
+    def broken_first(*args, **kwargs):
+        calls.append(args)
+        if len(calls) == 1:
+            raise FloatingPointError("broken certificate")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(contracting_module, "is_contracting", broken_first)
+    with pytest.raises(FloatingPointError):
+        find_contracting_direction(body, XY, DirectionSearch(warm=(Z,), first_only=True))
 
 
 def test_pball_single_tilt_plane_is_contracting():

@@ -31,7 +31,7 @@ def test_assemble_matches_congruence():
         n = int(r.integers(2, 6))
         Q = random_spd(r, n, cond=30.0)
         V = r.normal(size=(n, n)) + 2.0 * np.eye(n)
-        form = assemble_form(lambda v: float(v @ Q @ v), V)
+        form = assemble_form(lambda P: np.einsum("mi,ij,mj->m", P, Q, P), V)
         target = V.T @ Q @ V
         assert np.abs(form.coeffs - target).max() <= 1e-10 * np.abs(target).max()
         # ambient reconstruction carries the basis conditioning
@@ -42,8 +42,8 @@ def test_assemble_matches_congruence():
 
 def test_polarization_cross_coefficient():
     # F = x^2 + 2y^2 + 3z^2 + 2xy gives c12 = (5 - 1 - 2) / 2 = 1
-    def F(v):
-        x, y, z = v
+    def F(P):
+        x, y, z = P.T
         return x * x + 2 * y * y + 3 * z * z + 2 * x * y
 
     form = assemble_form(F, np.eye(3))
@@ -56,7 +56,7 @@ def test_three_line_determination_matches_dense_fit():
     r = rng(31)
     for _ in range(25):
         Q = random_spd(r, 2, cond=10.0)
-        F = lambda v: float(v @ Q @ v)
+        F = lambda P: np.einsum("mi,ij,mj->m", P, Q, P)
         three = assemble_form(F, np.eye(2)).ambient_coeffs
         ang = np.linspace(0.0, np.pi, 128, endpoint=False)
         U = np.column_stack([np.cos(ang), np.sin(ang)])
@@ -100,7 +100,7 @@ def test_verify_form_accepts_the_true_form():
     Q = random_spd(r, 3, cond=10.0)
     body = Ellipsoid(Q)
     region = chart(XY, 0.4)
-    val = verify_form(lambda v: body.gauge(v) ** 2, SymmetricForm(Q), region)
+    val, _ = verify_form(lambda P: body.gauge_many(P) ** 2, SymmetricForm(Q), region)
     assert val <= 1e-12
 
 
@@ -108,7 +108,7 @@ def test_verify_form_flags_the_wrong_form():
     # unit 4-ball against the round form: sup mismatch is 1 - 3^(-1/2)
     body = PBall(4.0, np.eye(3))
     region = chart(XY, 0.6)
-    val = verify_form(lambda v: body.gauge(v) ** 2, SymmetricForm(np.eye(3)), region)
+    val, _ = verify_form(lambda P: body.gauge_many(P) ** 2, SymmetricForm(np.eye(3)), region)
     assert val <= 1.0 - 3.0**-0.5 + 1e-9
     assert val >= 0.40
 
