@@ -29,10 +29,8 @@ REFINE_SUB = 16
 REFINE_TOL = 1e-12
 # Direction sample of the 3D signature matcher.
 SPATIAL_DESIGN = 1024
-# Newton steps per mu stage, a backstop: fixture sections end every stage on
-# a vanishing step within ~10; thin sections can reach it in early stages,
-# which only warm-start the next, while the two extrapolated stages converge.
-NEWTON_CAP = 100
+# Barrier weights of the inscribed-ellipsoid path following, one per stage.
+MU_STAGES = 10.0 ** -np.arange(2.0, 15.0)
 
 
 @dataclass
@@ -92,46 +90,41 @@ def quadratic_field(R: RTensor, p) -> np.ndarray:
 # ------------------------------------------------------- inscribed ellipsoid
 
 
-def _unpack(theta, k):
-    """(L, c) from theta = (log diag L, strict lower L, c)."""
-    L = np.diag(np.exp(theta[:k]))
-    L[np.tril_indices(k, -1)] = theta[k:-k]
-    return L, theta[-k:]
+def _barrier_value(ell, E, x, mu):
+    """-log det M - mu sum_i log s_i at x = (coordinates of M in the basis E, c),
+    with a_i = 1 - ell_i . c, v_i = M ell_i and s_i = a_i^2 - |v_i|^2; inf
+    unless M is positive definite and every a_i and s_i is positive."""
+    M, c = np.tensordot(x[: len(E)], E, 1), x[len(E) :]
+    a = 1.0 - ell @ c
+    s = a * a - np.sum((ell @ M) ** 2, axis=1)
+    w = np.linalg.eigvalsh(M)
+    if min(w.min(), a.min(), s.min()) <= 0.0:
+        return np.inf
+    return -np.sum(np.log(w)) - mu * np.sum(np.log(s))
 
 
-def _barrier_value(ell, theta, mu):
-    """-log det L - mu sum_i log(1 - h_i), h_i = ell_i . c + |L^T ell_i|;
-    inf outside the constraints."""
-    k = ell.shape[1]
-    L, c = _unpack(theta, k)
-    s = 1.0 - ell @ c - np.linalg.norm(ell @ L, axis=1)
-    return -np.sum(theta[:k]) - mu * np.sum(np.log(s)) if s.min() > 0.0 else np.inf
+def _barrier_grad_hess(ell, E, x, mu):
+    """Closed-form gradient and Hessian of _barrier_value at an interior x.
 
-
-def _barrier_grad_hess(ell, theta, mu):
-    """Closed-form gradient and Hessian of _barrier_value at an interior theta.
-
-    With w_i = mu / (1 - h_i), U_i = L^T ell_i / |L^T ell_i| and J_i the
-    gradient of h_i: g = sum w_i J_i - [1_k; 0] and H = sum (w_i^2 / mu)
-    J_i J_i^T plus w_i times the Hessian of |L^T ell_i| on the L block, plus
-    g_d + 1 on each log-diagonal entry (chain rule through exp).
+    With B_i[:, a] = E_a ell_i and G_i = grad s_i = (-2 B_i^T v_i, -2 a_i ell_i):
+    g = -mu sum G_i / s_i, minus tr(M^-1 E_a) on the M block, and
+    H = mu sum G_i G_i^T / s_i^2, plus tr(M^-1 E_a M^-1 E_b) + mu sum (2 / s_i)
+    B_i^T B_i on the M block, minus mu sum (2 / s_i) ell_i ell_i^T on the c block.
     """
-    k = ell.shape[1]
-    L, c = _unpack(theta, k)
-    # L parameters in theta order: entry (j, q), scaled by dL_jq / dtheta
-    j, q = np.concatenate([np.diag_indices(k), np.tril_indices(k, -1)], axis=1)
-    V = ell @ L
-    n = np.linalg.norm(V, axis=1)
-    w = mu / (1.0 - ell @ c - n)
-    A = ell[:, j] * np.where(j == q, L[j, q], 1.0)
-    JL = A * (V / n[:, None])[:, q]
-    J = np.hstack([JL, ell])
-    g = J.T @ w
-    g[:k] -= 1.0
-    H = (J.T * (w * w / mu)) @ J
-    r = w / n
-    H[: len(j), : len(j)] += ((A.T * r) @ A) * (q[:, None] == q) - (JL.T * r) @ JL
-    H[np.diag_indices(k)] += g[:k] + 1.0
+    p = len(E)
+    M, c = np.tensordot(x[:p], E, 1), x[p:]
+    a = 1.0 - ell @ c
+    V = ell @ M
+    s = a * a - np.sum(V * V, axis=1)
+    B = ell @ E  # B[a, i] = E_a ell_i
+    G = np.hstack([-2.0 * np.einsum("aik,ik->ia", B, V), -2.0 * a[:, None] * ell])
+    T = np.linalg.solve(M, E)  # M^-1 E_a
+    g = -mu * (G.T @ (1.0 / s))
+    g[:p] -= np.trace(T, axis1=1, axis2=2)
+    H = (G.T * (mu / s**2)) @ G
+    Bw = B * (2.0 * mu / s)[:, None]
+    H[:p, :p] += np.einsum("akl,blk->ab", T, T) + Bw.reshape(p, -1) @ B.reshape(p, -1).T
+    H[p:, p:] -= (ell.T * (2.0 * mu / s)) @ ell
     return g, H
 
 
@@ -139,55 +132,38 @@ def max_inscribed_ellipsoid(functionals):
     """(M, c) of the maximal-volume ellipsoid {M u + c : |u| <= 1} inside
     {x : ell_i . x <= 1}, with M symmetric positive definite.
 
-    Damped Newton on the log-det barrier over theta = (log diag L, strict
-    lower L, c) with M = (L L^T)^(1/2), along a mu continuation; each step
-    takes one closed-form gradient and Hessian (_barrier_grad_hess) and an
-    Armijo line search, and each mu stage runs until the step vanishes (or
-    NEWTON_CAP steps).  The last two stages are Richardson-extrapolated to
-    mu = 0 (the central path is smooth in mu), which reaches the exact
-    solution even when every sampled constraint is active, as happens for
-    smooth sections.
+    The constraints read |M ell_i| <= 1 - ell_i . c, second-order cones that
+    are affine in (M, c), so -log det M - mu sum_i log((1 - ell_i . c)^2 -
+    |M ell_i|^2) is self-concordant (Boyd & Vandenberghe, Convex
+    Optimization, sections 8.4.2 and 11.6).  Damped Newton follows its
+    minimizer in x = (upper-triangle coordinates of M, c) over MU_STAGES,
+    one closed-form gradient and Hessian (_barrier_grad_hess) and an Armijo
+    line search per step.  An intermediate stage only warm-starts the next,
+    so it ends once the squared Newton decrement of f / mu is at most 0.1;
+    every stage ends when the step vanishes.
     """
     tally("inscribed_solves")
     ell = np.asarray(functionals, dtype=float)
     k = ell.shape[1]
-    theta = np.zeros(2 * k + k * (k - 1) // 2)
-    theta[:k] = np.log(0.45 / np.linalg.norm(ell, axis=1).max())
-    stages = []
-    mu = 1e-2
-    while mu >= 0.999e-9:
-        for _ in range(NEWTON_CAP):
-            f = _barrier_value(ell, theta, mu)
-            g, H = _barrier_grad_hess(ell, theta, mu)
-            try:
-                step = np.linalg.solve(H + 1e-14 * np.eye(len(theta)), -g)
-            except np.linalg.LinAlgError:
-                step = -g
-            if step @ g > 0:
-                step = -g
+    i, j = np.triu_indices(k)
+    p = len(i)
+    E = np.zeros((p, k, k))
+    E[np.arange(p), i, j] = E[np.arange(p), j, i] = 1.0
+    x = np.concatenate([(i == j) * (0.45 / np.linalg.norm(ell, axis=1).max()), np.zeros(k)])
+    for mu in MU_STAGES:
+        while True:
+            g, H = _barrier_grad_hess(ell, E, x, mu)
+            step = np.linalg.solve(H, -g)
+            if mu > MU_STAGES[-1] and -g @ step <= 0.1 * mu:
+                break
+            f = _barrier_value(ell, E, x, mu)
             alpha = 1.0
-            while alpha > 1e-16:
-                if _barrier_value(ell, theta + alpha * step, mu) < f + 0.25 * alpha * (g @ step):
-                    break
+            while _barrier_value(ell, E, x + alpha * step, mu) > f + 0.25 * alpha * (g @ step):
                 alpha *= 0.5
-            else:
+            x = x + alpha * step
+            if np.linalg.norm(alpha * step) <= 1e-15 * (1.0 + np.linalg.norm(x)):
                 break
-            theta = theta + alpha * step
-            if np.linalg.norm(alpha * step) <= 1e-15 * (1.0 + np.linalg.norm(theta)):
-                break
-        stages.append((mu, theta.copy()))
-        mu *= 0.1
-
-    (mu1, th1), (mu2, th2) = stages[-2], stages[-1]
-    L1, c1 = _unpack(th1, k)
-    L2, c2 = _unpack(th2, k)
-    E1, E2 = L1 @ L1.T, L2 @ L2.T
-    # linear-in-mu extrapolation of the central path to mu = 0
-    E = E2 + (E2 - E1) * (mu2 / (mu1 - mu2))
-    c = c2 + (c2 - c1) * (mu2 / (mu1 - mu2))
-    w, U = np.linalg.eigh(E)
-    M = (U * np.sqrt(np.maximum(w, 0.0))) @ U.T
-    return M, c
+    return np.tensordot(x[:p], E, 1), x[p:]
 
 
 # --------------------------------------------------------- radial signatures

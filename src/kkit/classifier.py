@@ -53,6 +53,8 @@ CONSTANT_ANGLE = 1e-4
 DUAL_GAP = 1e-6
 # A projective dual must stay invertible after Frobenius normalization.
 DUAL_DET_MIN = 1e-8
+# Boundary points per sample plane in the projective dual fit.
+DUAL_POINTS = 12
 # Tangent field acceptance: fit residual and nondegeneracy floor.
 FIELD_TOL = 1e-6
 FIELD_SIGMA_MIN = 1e-3
@@ -183,14 +185,14 @@ def phi_map(
     return PhiSample(pairs, mult, coords, defect)
 
 
-def injectivity_test(sample: PhiSample, tol_angle: float = CONSTANT_ANGLE):
+def injectivity_test(sample: PhiSample):
     """ConstantLine, Injective, or AmbiguousDichotomy for a phi sample."""
     if not sample.pairs:
         raise ValueError("empty phi sample")
     lines = [L.frame[:, 0] for _, L in sample.pairs]
     med = _median_line(lines)
     spread = max(subspace_angle(Subspace(v[:, None]), med) for v in lines)
-    if spread <= tol_angle or any(m >= 2 for m in sample.multiplicity):
+    if spread <= CONSTANT_ANGLE or any(m >= 2 for m in sample.multiplicity):
         return ConstantLine(med, spread)
     seps = []
     for i in range(len(lines)):
@@ -199,7 +201,7 @@ def injectivity_test(sample: PhiSample, tol_angle: float = CONSTANT_ANGLE):
                 subspace_angle(Subspace(lines[i][:, None]), Subspace(lines[j][:, None]))
             )
     min_sep = min(seps)
-    if min_sep > tol_angle:
+    if min_sep > CONSTANT_ANGLE:
         return Injective(min_sep)
     raise AmbiguousDichotomy(
         f"phi neither constant (spread {spread:.3e}) nor separated "
@@ -207,9 +209,7 @@ def injectivity_test(sample: PhiSample, tol_angle: float = CONSTANT_ANGLE):
     )
 
 
-def fit_projective_dual(
-    body: Body, sample: PhiSample, points_per_plane: int = 12
-) -> ProjectiveDual:
+def fit_projective_dual(body: Body, sample: PhiSample) -> ProjectiveDual:
     """Linear dual F with F(p) proportional to the support functional at p.
 
     Constraints <F p, t> = 0 for tangent vectors t spanning ker of the
@@ -217,7 +217,7 @@ def fit_projective_dual(
     solved by the smallest right singular vector at unit Frobenius norm.
     """
     P = np.vstack(
-        [section_samples(body, X, points_per_plane).ambient_points for X, _ in sample.pairs]
+        [section_samples(body, X, DUAL_POINTS).ambient_points for X, _ in sample.pairs]
     )
     rows = []
     for p, ell in zip(P, body.support_many(P)):
@@ -266,7 +266,7 @@ def support_check(body: Body, dual: ProjectiveDual) -> float:
     return worst
 
 
-def tangent_field_fit(section, tol: float = FIELD_TOL, sigma_min: float = FIELD_SIGMA_MIN):
+def tangent_field_fit(section):
     """(W or None, residual): least-squares linear field tangent to the section.
 
     Rows ell_i (W p_i) = 0 at unit Frobenius norm; candidates walk up from
@@ -281,9 +281,9 @@ def tangent_field_fit(section, tol: float = FIELD_TOL, sigma_min: float = FIELD_
     _, s, Vt = np.linalg.svd(rows, full_matrices=False)
     for i in reversed(range(len(s))):
         W = Vt[i].reshape(2, 2)
-        if np.linalg.svd(W, compute_uv=False)[-1] >= sigma_min:
+        if np.linalg.svd(W, compute_uv=False)[-1] >= FIELD_SIGMA_MIN:
             resid = float(s[i]) / np.sqrt(len(rows))
-            return (W if resid <= tol else None), resid
+            return (W if resid <= FIELD_TOL else None), resid
     return None, float(s[-1]) / np.sqrt(len(rows))
 
 
@@ -399,8 +399,10 @@ def _plain(x):
     return x
 
 
-def _phi_cross_check(body, region, opts, verdict, form, generatrix, diagnostics):
-    """Stage (d): the projective pipeline must predict the same verdict."""
+def _phi_cross_check(body, region, opts, report):
+    """Stage (d): the projective pipeline must predict the report's verdict."""
+    verdict, form, generatrix = report.verdict, report.form, report.generatrix
+    diagnostics = report.diagnostics
 
     def hints(X):
         out = []
@@ -457,9 +459,9 @@ def _phi_cross_check(body, region, opts, verdict, form, generatrix, diagnostics)
         diagnostics["phi_agrees"] = verdict != "Ellipsoid"
 
 
-def _restriction_cross_check(body, region, opts, verdict, diagnostics):
+def _restriction_cross_check(body, region, opts, report):
     """Stage (e): classify the body inside k+1 dimensional slices through
-    the base plane and record verdict coherence."""
+    the base plane and record coherence with the report's verdict."""
     base, trans = region.base, region.transversal
     n, k = base.ambient, base.dim
     sub_verdicts = []
@@ -477,13 +479,13 @@ def _restriction_cross_check(body, region, opts, verdict, diagnostics):
         )
         sub = classify(sub_body, sub_region, opts=sub_opts)
         sub_verdicts.append(sub.verdict)
-    diagnostics["restriction_verdicts"] = sub_verdicts
+    report.diagnostics["restriction_verdicts"] = sub_verdicts
     coherent = {
         "Ellipsoid": {"Ellipsoid"},
         "Cylinder": {"Cylinder", "Ellipsoid"},
         "NonKakutani": {"Ellipsoid", "Cylinder", "NonKakutani"},
-    }[verdict]
-    diagnostics["restriction_agrees"] = all(v in coherent for v in sub_verdicts)
+    }[report.verdict]
+    report.diagnostics["restriction_agrees"] = all(v in coherent for v in sub_verdicts)
 
 
 def classify(
@@ -593,19 +595,19 @@ def _classify(body, region, opts):
                 generatrix=generatrix,
                 base_plane=region.base,
             )
-        if opts.cross_checks:
-            if n == 3 and k == 2:
-                _phi_cross_check(
-                    body, region, opts, report.verdict, form, report.generatrix, diagnostics
-                )
-            if n > k + 1:
-                _restriction_cross_check(body, region, opts, report.verdict, diagnostics)
-        return report
-
-    # (c) constant direction: cylinder over the base section
-    L0 = directions[0]
-    cyl = shared_generatrix_cylinder(body, planes, L0, opts.tol)
-    if cyl is not None:
+    else:
+        # (c) constant direction: cylinder over the base section
+        L0 = directions[0]
+        if shared_generatrix_cylinder(body, planes, L0, opts.tol) is None:
+            # gap: planes contract individually but no global structure
+            # exists; report the strongest structural failure as witness
+            diagnostics["direction_spread"] = max(subspace_angle(L0, L) for L in directions)
+            wplane, wviol = quadric_witness
+            return ClassificationReport(
+                "NonKakutani",
+                {"witness_plane": wplane.frame, "violation": wviol},
+                diagnostics,
+            )
         report = ClassificationReport(
             "Cylinder",
             {"generatrix": L0.frame, "base_plane": region.base.frame},
@@ -613,20 +615,10 @@ def _classify(body, region, opts):
             generatrix=L0,
             base_plane=region.base,
         )
-        if opts.cross_checks:
-            if n == 3 and k == 2:
-                _phi_cross_check(body, region, opts, report.verdict, None, L0, diagnostics)
-            if n > k + 1:
-                _restriction_cross_check(body, region, opts, report.verdict, diagnostics)
-        return report
 
-    # gap: planes contract individually but no global structure exists;
-    # report the strongest structural failure as witness
-    spread = max(subspace_angle(L0, L) for L in directions)
-    diagnostics["direction_spread"] = spread
-    wplane, wviol = quadric_witness
-    return ClassificationReport(
-        "NonKakutani",
-        {"witness_plane": wplane.frame, "violation": wviol},
-        diagnostics,
-    )
+    if opts.cross_checks:
+        if n == 3 and k == 2:
+            _phi_cross_check(body, region, opts, report)
+        if n > k + 1:
+            _restriction_cross_check(body, region, opts, report)
+    return report

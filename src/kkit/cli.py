@@ -11,7 +11,6 @@ negative (NonKakutani, HypothesisFailed, NotContracting), 1 for errors.
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -165,16 +164,6 @@ def load_plane(path) -> Subspace:
 # ----------------------------------------------------------------- run plumbing
 
 
-def _thread_count(args) -> int:
-    if args.threads is not None:
-        return max(1, args.threads)
-    env = os.environ.get("KKIT_THREADS", "")
-    try:
-        return max(1, int(env)) if env else 1
-    except ValueError as exc:
-        raise CliError(f"KKIT_THREADS={env!r} is not an integer") from exc
-
-
 def _options(args) -> ClassifyOptions:
     kw = {"seed": args.seed}
     if args.tol is not None:
@@ -189,7 +178,6 @@ def _config_echo(args, **paths) -> dict:
         "command": args.command,
         "grid": args.grid,
         "seed": args.seed,
-        "threads": _thread_count(args),
         "tol": args.tol,
         **{k: str(v) for k, v in paths.items()},
     }
@@ -362,11 +350,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--tol", type=float, default=None, help="verdict tolerance")
     common.add_argument("--grid", type=int, default=None, help="sweep grid per axis")
     common.add_argument("--seed", type=int, default=0, help="RNG seed")
-    common.add_argument(
-        "--threads", type=int, default=None,
-        help="accepted and echoed in config_echo; does not change the "
-        "computation (falls back to KKIT_THREADS, then 1)",
-    )
     common.add_argument("--report", default=None, help="report path (default stdout)")
     common.add_argument("--svg", default=None, help="SVG output path")
 

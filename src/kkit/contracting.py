@@ -142,7 +142,6 @@ def cylinder_contains(
     X: Subspace,
     Y: Subspace,
     tol: float = DEFAULT_TOL,
-    samples: int = CERT_SAMPLES,
 ) -> bool:
     """Whether B sits inside the cylinder (B cut by X) + Y.
 
@@ -156,7 +155,7 @@ def cylinder_contains(
         V = body.vertices
         return bool(np.max(body.gauge_many(V @ P.T) - body.gauge_many(V)) <= tol)
     rot = _fixed_rotation(body.dim)
-    dirs = sphere_directions(body.dim, samples) @ rot.T
+    dirs = sphere_directions(body.dim, CERT_SAMPLES) @ rot.T
     g = body.gauge_many(dirs)
     keep = g > _FLAT_TOL
     pts = dirs[keep] / g[keep, None]
@@ -414,7 +413,6 @@ def shared_generatrix_cylinder(
     planes,
     Y: Subspace,
     tol: float = DEFAULT_TOL,
-    samples: int = 256,
 ):
     """Cylinder (B cut by planes[0]) + Y, if Y certifies on every plane.
 
@@ -429,8 +427,8 @@ def shared_generatrix_cylinder(
     base_plane = planes[0]
     cyl = Cylinder(SectionBody(body, base_plane), base_plane, Y)
     for X in planes[1:]:
-        sb = section_samples(body, X, samples).ambient_points
-        sc = section_samples(cyl, X, samples).ambient_points
+        sb = section_samples(body, X).ambient_points
+        sc = section_samples(cyl, X).ambient_points
         D = cdist(sb, sc)
         haus = max(D.min(axis=0).max(), D.min(axis=1).max())
         if haus > tol:

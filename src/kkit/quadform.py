@@ -111,18 +111,18 @@ def assemble_form(F_many, basis) -> SymmetricForm:
     return SymmetricForm(C, basis=np.linalg.inv(basis).T)
 
 
-def verify_form(F_many, form: SymmetricForm, region: GrassmannChart, m: int = 512, seed: int = 0):
+def verify_form(F_many, form: SymmetricForm, region: GrassmannChart, seed: int = 0):
     """(worst, plane): the max relative mismatch |F(p) - Q(p)| / max(1, |Q(p)|)
     over the region, and the chart plane attaining it.
 
-    F_many maps rows of points to their F values.  Points are drawn from
-    random chart planes at random in-plane directions and radii in
-    [0.5, 1.5], seeded for reproducibility, and checked in one batch.
+    F_many maps rows of points to their F values.  RECON_VERIFY points are
+    drawn, 16 per random chart plane, at random in-plane directions and radii
+    in [0.5, 1.5], seeded for reproducibility, and checked in one batch.
     """
     rng = np.random.default_rng(seed)
     k = region.base.dim
     planes, P = [], []
-    for M in region.sample(rng, count=max(1, m // 16)):
+    for M in region.sample(rng, count=RECON_VERIFY // 16):
         X = region.plane(M)
         U = rng.normal(size=(16, k))
         U /= np.linalg.norm(U, axis=1)[:, None]
@@ -136,20 +136,15 @@ def verify_form(F_many, form: SymmetricForm, region: GrassmannChart, m: int = 51
     return float(per_plane[i]), planes[i]
 
 
-def fit_section_quadric(
-    body: Body,
-    X: Subspace,
-    m: int = 256,
-    tol: float = FIT_TOL,
-):
+def fit_section_quadric(body: Body, X: Subspace):
     """Least-squares k x k form matching gauge^2 on the section boundary.
 
     Returns (form, residual); form is None unless the relative max residual
-    stays within tol and the form is positive definite.  The form refers to
-    the plane's frame coordinates via its basis tag.
+    stays within FIT_TOL and the form is positive definite.  The form refers
+    to the plane's frame coordinates via its basis tag.
     """
     tally("quadric_fits")
-    sample = section_samples(body, X, m)
+    sample = section_samples(body, X)
     pts = sample.points
     k = X.dim
     idx = np.triu_indices(k)
@@ -163,7 +158,7 @@ def fit_section_quadric(
     resid = float(np.max(np.abs(cols @ sol - target)))
     w = np.linalg.eigvalsh(C)
     form = SymmetricForm(C, basis=X.frame)
-    if resid <= tol and w[0] > 0.0:
+    if resid <= FIT_TOL and w[0] > 0.0:
         return form, resid
     return None, resid
 
@@ -206,7 +201,7 @@ def reconstruct_global_form(body: Body, region: GrassmannChart, seed: int = 0):
         return body.gauge_many(V) ** 2
 
     form = assemble_form(F_many, compatible_basis(region))
-    err, X = verify_form(F_many, form, region, m=RECON_VERIFY, seed=seed)
+    err, X = verify_form(F_many, form, region, seed=seed)
     if err > FIT_TOL:
         raise InconsistentPropagation(X, err, "assembled form mismatches gauge^2")
     return form, form.is_psd()

@@ -6,6 +6,7 @@ from kkit.bodies import (
     Cylinder,
     Ellipsoid,
     Intersection,
+    LinearImage,
     PBall,
     Polytope,
     SectionBody,
@@ -124,22 +125,58 @@ def test_inscribed_ellipsoid_triangle_centroid():
     assert tri.gauge_many(u @ M.T + c).max() <= 1.0 + 1e-9
 
 
-def test_inscribed_ellipsoid_thin_section():
-    # a thin section whose early mu stages take far more Newton steps than
-    # the fixtures need; stopping them at 40 steps left log det M at -6.47
-    # or -6.52 against the maximum -6.0761687
+def test_inscribed_ellipsoid_thin_section(monkeypatch):
+    # a thin section on which the barrier in Cholesky parameters, which is
+    # not self-concordant, took 473 Newton steps; log det M peaks at -6.0761687
+    steps = []
+    grad_hess = banach_module._barrier_grad_hess
+    monkeypatch.setattr(
+        banach_module, "_barrier_grad_hess", lambda *a: steps.append(1) or grad_hess(*a)
+    )
     A = [[1.338, 0.935, 0.049], [2.002, 2.189, -0.633], [-0.378, -1.091, 0.722]]
     X = Subspace.span([0.203, 0.632, 0.748], [0.858, -0.482, 0.174])
     ell = section_samples(PBall(4.485, A), X, 256).functionals
     M, c = max_inscribed_ellipsoid(ell)
     assert np.linalg.slogdet(M)[1] >= -6.0761697
     assert (ell @ c + np.linalg.norm(ell @ M, axis=1)).max() <= 1.0 + 1e-9
+    assert len(steps) <= 150
 
 
-def central_differences(f, theta, h=1e-6):
-    """Row i is (f(theta + h e_i) - f(theta - h e_i)) / 2h: the gradient of a
-    scalar f, or the finite-difference Hessian when f is the gradient."""
-    return np.array([(f(theta + e) - f(theta - e)) / (2.0 * h) for e in h * np.eye(len(theta))])
+def random_section_body(r, n):
+    """A random body from one of five families, both drawn from r."""
+    A = random_spd(r, n, cond=20.0) @ np.linalg.qr(r.normal(size=(n, n)))[0]
+    # the +-e_i vertices keep the origin strictly inside
+    vertices = np.vstack([r.normal(size=(10, n)), np.eye(n), -np.eye(n)])
+    family = int(r.integers(5))
+    if family == 0:
+        return Ellipsoid(random_spd(r, n, cond=20.0))
+    if family == 1:
+        return PBall(r.uniform(1.2, 6.0), A)
+    if family == 2:
+        return Polytope(vertices)
+    if family == 3:
+        return LinearImage(A, PBall(r.uniform(1.2, 6.0), np.eye(n)))
+    return Intersection([Ellipsoid(random_spd(r, n, cond=20.0)), Polytope(vertices)])
+
+
+def test_inscribed_ellipsoid_is_inside():
+    # every sampled constraint holds strictly: the result lies in the domain
+    # of the barrier, for sections of every family with k = 2 and 3
+    for seed in range(20):
+        r = np.random.default_rng(seed)
+        k = 2 + seed % 2
+        body, X = random_section_body(r, k + 1), random_subspace(r, k + 1, k)
+        ell = section_samples(body, X).functionals
+        M, c = max_inscribed_ellipsoid(ell)
+        assert np.array_equal(M, M.T)
+        assert np.linalg.eigvalsh(M).min() > 0.0
+        assert (ell @ c + np.linalg.norm(ell @ M, axis=1)).max() < 1.0, seed
+
+
+def central_differences(f, x, h=1e-6):
+    """Row i is (f(x + h e_i) - f(x - h e_i)) / 2h: the gradient of a scalar
+    f, or the finite-difference Hessian when f is the gradient."""
+    return np.array([(f(x + e) - f(x - e)) / (2.0 * h) for e in h * np.eye(len(x))])
 
 
 @pytest.mark.parametrize("k", [2, 3])
@@ -147,21 +184,20 @@ def test_barrier_derivatives_match_finite_differences(k):
     rng = np.random.default_rng(k)
     ell = rng.normal(size=(40, k))
     scale = np.linalg.norm(ell, axis=1).max()
-    n_off = k * (k - 1) // 2
+    # the formulas hold in any basis of symmetric matrices
+    p = k * (k + 1) // 2
+    E = rng.normal(size=(p, k, k))
+    E = E + E.transpose(0, 2, 1)
     for _ in range(5):
         # random interior point: every slack stays above ~0.4
-        theta = np.concatenate(
-            [
-                np.log(0.3 / scale) + 0.2 * rng.normal(size=k),
-                0.1 / scale * rng.normal(size=n_off),
-                0.1 / scale * rng.normal(size=k),
-            ]
-        )
+        M = 0.3 / scale * np.eye(k) + 0.05 / scale * random_spd(rng, k)
+        c = 0.1 / scale * rng.normal(size=k)
+        x = np.concatenate([np.linalg.lstsq(E.reshape(p, -1).T, M.ravel())[0], c])
         mu = 10.0 ** rng.uniform(-4.0, -1.0)
-        g, H = _barrier_grad_hess(ell, theta, mu)
-        fd_g = central_differences(lambda t: _barrier_value(ell, t, mu), theta)
+        g, H = _barrier_grad_hess(ell, E, x, mu)
+        fd_g = central_differences(lambda t: _barrier_value(ell, E, t, mu), x)
         assert np.abs(g - fd_g).max() <= 1e-6 * (1.0 + np.abs(g).max())
-        fd_H = central_differences(lambda t: _barrier_grad_hess(ell, t, mu)[0], theta)
+        fd_H = central_differences(lambda t: _barrier_grad_hess(ell, E, t, mu)[0], x)
         assert np.abs(H - fd_H).max() <= 1e-6 * np.abs(H).max()
         assert np.abs(H - H.T).max() <= 1e-13 * np.abs(H).max()
 

@@ -178,28 +178,6 @@ def test_reports_byte_identical(tmp_path):
     assert blobs[0] == blobs[1]
 
 
-def test_threads_do_not_change_results(tmp_path, monkeypatch):
-    docs = []
-    for threads in ("1", "3"):
-        monkeypatch.setenv("KKIT_THREADS", threads)
-        code, rep = run(
-            tmp_path, "classify", FIX / "ellipsoid.json", FIX / "region_xy.json",
-            "--grid", "3",
-        )
-        assert code == 0
-        assert rep["config_echo"]["threads"] == int(threads)
-        rep.pop("config_echo")
-        docs.append(rep)
-    assert docs[0] == docs[1]
-    # the flag beats the environment
-    monkeypatch.setenv("KKIT_THREADS", "3")
-    _, rep = run(
-        tmp_path, "classify", FIX / "ellipsoid.json", FIX / "region_xy.json",
-        "--grid", "3", "--threads", "2",
-    )
-    assert rep["config_echo"]["threads"] == 2
-
-
 def test_region_transversal_field(tmp_path):
     region = tmp_path / "region.json"
     region.write_text(json.dumps({
@@ -213,7 +191,7 @@ def test_region_transversal_field(tmp_path):
     assert code == 0 and rep["verdict"] == "Ellipsoid"
 
 
-def test_error_exits(tmp_path, capsys, monkeypatch):
+def test_error_exits(tmp_path, capsys):
     assert main(["classify", "no-such.json", str(FIX / "region_xy.json")]) == 1
     assert "no-such.json" in capsys.readouterr().err
 
@@ -234,10 +212,6 @@ def test_error_exits(tmp_path, capsys, monkeypatch):
 
     # section plots need a plane, not a line
     assert main(["section", str(FIX / "box.json"), str(FIX / "direction_z.json")]) == 1
-    capsys.readouterr()
-
-    monkeypatch.setenv("KKIT_THREADS", "abc")
-    assert main(["classify", str(FIX / "box.json"), str(FIX / "region_xy.json")]) == 1
     capsys.readouterr()
 
 
