@@ -97,7 +97,7 @@ class Ellipsoid(Body):
 
     def gauge_many(self, V):
         V = np.asarray(V, dtype=float)
-        return np.sqrt(np.maximum(0.0, np.einsum("mi,ij,mj->m", V, self.Q, V)))
+        return np.sqrt(np.maximum(0.0, np.sum((V @ self.Q) * V, axis=1)))
 
     def _support_many(self, P):
         return P @ self.Q

@@ -319,7 +319,7 @@ def cmd_section(args) -> int:
     if form is not None:
         # boundary of {p.Cp <= 1} traced at the same angular resolution
         u = sample.points / np.linalg.norm(sample.points, axis=1)[:, None]
-        g = np.sqrt(np.einsum("mi,ij,mj->m", u, form.coeffs, u))
+        g = np.sqrt(np.sum((u @ form.coeffs) * u, axis=1))
         overlay = u / g[:, None]
     svg = render_section_svg(sample.points, overlay)
     out = args.svg or "section.svg"

@@ -11,6 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.spatial.distance import cdist
+from scipy.stats import qmc
 
 from .bodies import Body, Cylinder, Polytope, SectionBody, section_samples
 from .errors import NonComplementary
@@ -71,25 +72,24 @@ def _refine_violation(body: Body, P, seeds, start_val: float, step0: float = 0.0
         return body.gauge_many(B @ P.T) - bg
 
     vals = evaluate(pts)
-    S = len(pts)
+    cols = np.arange(len(pts))
+    # the 2n signed coordinate moves: rows +e_0, -e_0, +e_1, -e_1, ...
+    moves = np.kron(np.eye(n), [[1.0], [-1.0]])
     step = step0
     hits = 0
     while step > 1e-7:
-        # all 2n coordinate moves for every seed, one batched evaluation
-        cand = np.repeat(pts[None, :, :], 2 * n, axis=0)
-        for j in range(n):
-            cand[2 * j, :, j] += step
-            cand[2 * j + 1, :, j] -= step
+        # all 2n moves for every seed, one batched evaluation; flat is a view,
+        # so normalizing it normalizes cand
+        cand = pts[None] + (step * moves)[:, None]
         flat = cand.reshape(-1, n)
-        nrm = np.linalg.norm(flat, axis=1)
+        nrm = np.sqrt(np.sum(flat * flat, axis=1))
         flat /= np.where(nrm > 0, nrm, 1.0)[:, None]
-        cv = evaluate(flat).reshape(2 * n, S)
+        cv = evaluate(flat).reshape(2 * n, len(pts))
         pick = np.argmax(cv, axis=0)
-        best_cv = cv[pick, np.arange(S)]
+        best_cv = cv[pick, cols]
         mask = best_cv > vals + 1e-18
         if mask.any():
-            moved = flat.reshape(2 * n, S, n)[pick, np.arange(S)]
-            pts[mask] = moved[mask]
+            pts[mask] = cand[pick, cols][mask]
             vals[mask] = best_cv[mask]
         # maxima can sit on a whole submanifold; sliding along the ridge
         # never changes the value, so cap the stay at each step level
@@ -163,7 +163,7 @@ def cylinder_contains(
     flat = dirs[~keep]
     if flat.size:
         worst = max(worst, float(np.max(body.gauge_many(flat @ P.T))))
-    seeds = pts[np.argsort(body.gauge_many(pts @ P.T))[::-1][:8]]
+    seeds = pts[np.argsort(body.gauge_many(pts @ P.T))[::-1][:REFINE_TOP]]
     refined, _ = _refine_violation(body, P, seeds, worst)
     return max(worst, refined) <= tol
 
@@ -237,7 +237,7 @@ def _batch_violation(body: Body, X: Subspace, Y0: Subspace, Ms, dirs):
     else:
         test, base = _boundary_sample(body, dirs)
     P = X.frame @ (X.frame.T - Ms @ Y0.frame.T)
-    proj = np.einsum("bij,mj->bmi", P, test).reshape(-1, X.ambient)
+    proj = (test @ P.transpose(0, 2, 1)).reshape(-1, X.ambient)
     vals = body.gauge_many(proj).reshape(len(Ms), len(test)) - base[None, :]
     return vals.max(axis=1)
 
@@ -374,8 +374,6 @@ def find_contracting_direction(
         mesh = np.meshgrid(*axes, indexing="ij")
         flat = np.stack([m.reshape(-1) for m in mesh], axis=1)[: opts.starts]
     else:
-        from scipy.stats import qmc
-
         flat = (2.0 * qmc.Sobol(d, scramble=False).random(opts.starts) - 1.0) * SEARCH_SPAN
     Ms = flat.reshape(-1, k, n - k)
 

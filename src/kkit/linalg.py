@@ -6,6 +6,7 @@ orthogonal complement, so every chart is a box in the k*(n-k) graph
 coefficients.
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -242,25 +243,35 @@ def sphere_directions(dim: int, m: int):
     """m quasi-uniform unit directions in R^dim, deterministic.
 
     dim 2 uses equal angles, dim 3 a Fibonacci spiral, higher dims an
-    unscrambled Sobol sequence pushed through the normal quantile.
+    unscrambled Sobol sequence pushed through the normal quantile.  Each
+    (dim, m) set is built once and shared: the array is read-only, so callers
+    must copy it before writing into it.
     """
+    return _sphere_directions(dim, m)
+
+
+@functools.cache
+def _sphere_directions(dim: int, m: int):
     if dim == 1:
-        return np.array([[1.0], [-1.0]] * ((m + 1) // 2))[:m]
-    if dim == 2:
+        D = np.array([[1.0], [-1.0]] * ((m + 1) // 2))[:m]
+    elif dim == 2:
         th = 2.0 * np.pi * np.arange(m) / m
-        return np.column_stack([np.cos(th), np.sin(th)])
-    if dim == 3:
+        D = np.column_stack([np.cos(th), np.sin(th)])
+    elif dim == 3:
         i = np.arange(m) + 0.5
         z = 1.0 - 2.0 * i / m
         r = np.sqrt(np.maximum(0.0, 1.0 - z * z))
         th = np.pi * (1.0 + np.sqrt(5.0)) * i
-        return np.column_stack([r * np.cos(th), r * np.sin(th), z])
-    sob = qmc.Sobol(dim, scramble=False)
-    sob.fast_forward(1)  # skip the all-zero point
-    X = _normal.ppf(np.clip(sob.random(m + 4), 1e-12, 1.0 - 1e-12))
-    nrm = np.linalg.norm(X, axis=1)
-    X = X[nrm > 1e-9][:m]  # the all-0.5 point maps to the origin; drop it
-    return X / np.linalg.norm(X, axis=1)[:, None]
+        D = np.column_stack([r * np.cos(th), r * np.sin(th), z])
+    else:
+        sob = qmc.Sobol(dim, scramble=False)
+        sob.fast_forward(1)  # skip the all-zero point
+        X = _normal.ppf(np.clip(sob.random(m + 4), 1e-12, 1.0 - 1e-12))
+        nrm = np.linalg.norm(X, axis=1)
+        X = X[nrm > 1e-9][:m]  # the all-0.5 point maps to the origin; drop it
+        D = X / np.linalg.norm(X, axis=1)[:, None]
+    D.setflags(write=False)
+    return D
 
 
 def random_subspace(rng, n: int, k: int) -> Subspace:

@@ -60,7 +60,7 @@ class SymmetricForm:
         V = np.asarray(V, dtype=float)
         if self.basis is not None:
             V = V @ self.basis
-        return np.einsum("mi,ij,mj->m", V, self.coeffs, V)
+        return np.sum((V @ self.coeffs) * V, axis=1)
 
     @property
     def ambient_coeffs(self):

@@ -107,6 +107,16 @@ def test_gauge_many_matches_gauge_pointwise():
         assert np.abs(g1 - g2).max() <= 1e-9, name
 
 
+def test_ellipsoid_gauge_many_matches_row_loop():
+    r = rng(12)
+    for n in (1, 2, 3, 5):
+        body = Ellipsoid(random_spd(r, n, cond=30.0))
+        V = r.normal(size=(57, n))
+        ref = np.array([np.sqrt(v @ body.Q @ v) for v in V])
+        assert np.all(np.abs(body.gauge_many(V) - ref) <= 1e-12 * ref)
+        assert body.gauge_many(np.empty((0, n))).shape == (0,)
+
+
 def test_boundary_point_and_generatrix():
     cyl = Cylinder(
         Ellipsoid(np.eye(2)), Subspace.coordinate(3, 0, 1), Subspace.coordinate(3, 2)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import kkit.contracting as contracting_module
-from kkit.bodies import Cylinder, Ellipsoid, PBall, Polytope
+from kkit.bodies import Cylinder, Ellipsoid, Intersection, PBall, Polytope
 from kkit.contracting import (
     DirectionSearch,
     cylinder_contains,
@@ -10,9 +10,9 @@ from kkit.contracting import (
     is_contracting,
     shared_generatrix_cylinder,
 )
-from kkit.linalg import Subspace, subspace_angle
+from kkit.linalg import Subspace, projector, sphere_directions, subspace_angle
 
-from conftest import disk_cylinder, random_spd, rng
+from conftest import disk_cylinder, random_polytope, random_spd, rng
 
 XY = Subspace.coordinate(3, 0, 1)
 Z = Subspace.coordinate(3, 2)
@@ -192,3 +192,92 @@ def test_shared_generatrix_rejects_wrong_direction():
     body = Ellipsoid(np.diag([1.0, 2.0, 3.0]))
     tilted = Subspace.span([1.0, 0.0, 0.2], [0.0, 1.0, 0.0])
     assert shared_generatrix_cylinder(body, [XY, tilted], Z) is None
+
+
+# ------------------------------------------------------- kernel equivalence
+
+
+def test_batch_violation_matches_row_loop():
+    r = rng(30)
+    n, k = 4, 2
+    Q = random_spd(r, n, cond=10.0)
+    X = Subspace(r.normal(size=(n, k)))
+    Y0 = X.orthogonal_complement()
+    dirs = sphere_directions(n, 64)
+    Ms = r.normal(scale=0.3, size=(6, k, n - k))
+    for body in (Ellipsoid(Q), random_polytope(r, n, 12)):
+        got = contracting_module._batch_violation(body, X, Y0, Ms, dirs)
+        if isinstance(body, Polytope):
+            test = body.vertices
+        else:
+            test = dirs / body.gauge_many(dirs)[:, None]
+        base = body.gauge_many(test)
+        ref = []
+        for M in Ms:
+            P = X.frame @ (X.frame.T - M @ Y0.frame.T)
+            ref.append(max(body.gauge_many((P @ t)[None])[0] - b for t, b in zip(test, base)))
+        ref = np.array(ref)
+        assert np.all(np.abs(got - ref) <= 1e-12 * np.maximum(1.0, np.abs(ref)))
+        empty = contracting_module._batch_violation(body, X, Y0, Ms[:0], dirs)
+        assert empty.shape == (0,)
+
+
+def _refine_by_coordinate_loop(body, P, seeds, start_val, step0=0.05):
+    """The pattern search as it stood with one move per coordinate loop."""
+    n = body.dim
+    pts = np.array(seeds, dtype=float)
+    best = start_val
+
+    def evaluate(U):
+        B, bg = contracting_module._boundary_sample(body, U)
+        return body.gauge_many(B @ P.T) - bg
+
+    vals = evaluate(pts)
+    S = len(pts)
+    step = step0
+    hits = 0
+    while step > 1e-7:
+        cand = np.repeat(pts[None, :, :], 2 * n, axis=0)
+        for j in range(n):
+            cand[2 * j, :, j] += step
+            cand[2 * j + 1, :, j] -= step
+        flat = cand.reshape(-1, n)
+        nrm = np.linalg.norm(flat, axis=1)
+        flat /= np.where(nrm > 0, nrm, 1.0)[:, None]
+        cv = evaluate(flat).reshape(2 * n, S)
+        pick = np.argmax(cv, axis=0)
+        best_cv = cv[pick, np.arange(S)]
+        mask = best_cv > vals + 1e-18
+        if mask.any():
+            moved = flat.reshape(2 * n, S, n)[pick, np.arange(S)]
+            pts[mask] = moved[mask]
+            vals[mask] = best_cv[mask]
+        if not mask.any() or hits >= 3:
+            step *= 0.5
+            hits = 0
+        else:
+            hits += 1
+    i = int(np.argmax(vals))
+    if vals[i] >= best:
+        return float(vals[i]), pts[i]
+    return best, np.array(seeds, dtype=float)[0]
+
+
+def test_refine_violation_is_bit_identical_to_the_coordinate_loop():
+    r = rng(31)
+    bodies = [Ellipsoid(random_spd(r, n, cond=20.0)) for n in (3, 4, 5)]
+    bodies.append(PBall(3.5, r.normal(size=(3, 3)) + 2.0 * np.eye(3)))
+    bodies.append(Intersection([Ellipsoid(np.eye(3) / 1.6), random_polytope(r, 3, 12)]))
+    for body in bodies:
+        n = body.dim
+        X = Subspace(r.normal(size=(n, 2)))
+        Y = Subspace(X.orthogonal_complement().frame + 0.05 * r.normal(size=(n, n - 2)))
+        P = projector(X, Y)
+        pts, base = contracting_module._boundary_sample(body, sphere_directions(n, 512))
+        v = body.gauge_many(pts @ P.T) - base
+        order = np.argsort(v)[::-1]
+        seeds = pts[order[: contracting_module.REFINE_TOP]]
+        want = _refine_by_coordinate_loop(body, P, seeds, float(v[order[0]]))
+        got = contracting_module._refine_violation(body, P, seeds, float(v[order[0]]))
+        assert got[0] == want[0]
+        assert got[1].tobytes() == want[1].tobytes()

@@ -1,6 +1,12 @@
+import collections
+import functools
+
 import numpy as np
 import pytest
 
+import kkit.linalg as linalg_module
+from kkit.bodies import Ellipsoid
+from kkit.classifier import classify
 from kkit.errors import NonComplementary, OutOfChart
 from kkit.linalg import (
     GrassmannChart,
@@ -14,7 +20,7 @@ from kkit.linalg import (
     subspace_angle,
 )
 
-from conftest import rng
+from conftest import random_spd, rng
 
 
 def test_frames_orthonormal():
@@ -183,6 +189,32 @@ def test_sphere_directions_unit_and_spread():
             u = r.normal(size=dim)
             u /= np.linalg.norm(u)
             assert (D @ u).max() >= 0.9
+
+
+def test_sphere_directions_are_shared_and_read_only():
+    build = linalg_module._sphere_directions.__wrapped__
+    for dim in (1, 2, 3, 4, 5):
+        D = sphere_directions(dim, 300)
+        assert sphere_directions(dim, 300) is D
+        with pytest.raises(ValueError):
+            D[0, 0] = 0.0
+        fresh = build(dim, 300)
+        assert fresh.shape == D.shape and fresh.tobytes() == D.tobytes()
+
+
+def test_classify_builds_each_direction_set_once(monkeypatch):
+    build = linalg_module._sphere_directions.__wrapped__
+    builds = collections.Counter()
+
+    def counted(dim, m):
+        builds[dim, m] += 1
+        return build(dim, m)
+
+    monkeypatch.setattr(linalg_module, "_sphere_directions", functools.cache(counted))
+    r = rng(4)
+    rep = classify(Ellipsoid(random_spd(r, 4)), GrassmannChart(random_subspace(r, 4, 2), 0.1))
+    assert rep.verdict == "Ellipsoid"
+    assert builds and max(builds.values()) == 1
 
 
 def test_principal_angles_orthogonal_case():

@@ -40,6 +40,18 @@ def test_assemble_matches_congruence():
         assert err <= 1e-12 * cond**2 * np.abs(Q).max()
 
 
+def test_evaluate_many_matches_row_loop():
+    r = rng(13)
+    for n, k in ((3, 2), (4, 2), (5, 3)):
+        C = random_spd(r, k, cond=30.0)
+        basis = Subspace(r.normal(size=(n, k))).frame
+        V = r.normal(size=(41, n))
+        for form, W in ((SymmetricForm(C), V[:, :k]), (SymmetricForm(C, basis), V)):
+            ref = np.array([form(w) for w in W])
+            assert np.all(np.abs(form.evaluate_many(W) - ref) <= 1e-12 * ref)
+            assert form.evaluate_many(np.empty((0, W.shape[1]))).shape == (0,)
+
+
 def test_polarization_cross_coefficient():
     # F = x^2 + 2y^2 + 3z^2 + 2xy gives c12 = (5 - 1 - 2) / 2 = 1
     def F(P):
