@@ -9,6 +9,8 @@ tangency transfer (tangency at kernel points implies tangency everywhere)
 for a supplied R; constructing R from section data is out of scope.
 """
 
+import functools
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -262,23 +264,16 @@ def _match_planar(sec1, M1, c1, sec2, M2, c2):
     return Lmap, res
 
 
-_SIGNED_PERMS = None
-
-
+@functools.cache
 def _signed_permutations():
-    global _SIGNED_PERMS
-    if _SIGNED_PERMS is None:
-        from itertools import permutations, product
-
-        out = []
-        for perm in permutations(range(3)):
-            for signs in product((1.0, -1.0), repeat=3):
-                P = np.zeros((3, 3))
-                for r, (col, sg) in enumerate(zip(perm, signs)):
-                    P[r, col] = sg
-                out.append(P)
-        _SIGNED_PERMS = out
-    return _SIGNED_PERMS
+    """The 48 signed permutation matrices of R^3, built once per process."""
+    out = []
+    for perm in itertools.permutations(range(3)):
+        for signs in itertools.product((1.0, -1.0), repeat=3):
+            P = np.zeros((3, 3))
+            P[np.arange(3), perm] = signs
+            out.append(P)
+    return tuple(out)
 
 
 def _match_spatial(sec1, M1, c1, sec2, M2, c2):

@@ -370,7 +370,6 @@ class ClassificationReport:
     counters: dict = None
     form: object = None
     generatrix: Subspace = None
-    base_plane: Subspace = None
 
     def to_dict(self):
         return {
@@ -414,21 +413,15 @@ def _phi_cross_check(body, region, opts, report):
         return out
 
     try:
-        # hints come from a verified form or generatrix, whose direction is
-        # unique per plane; skip the multiplicity exploration
-        sample = phi_map(
-            body,
-            region,
-            PHI_GRID,
-            opts.tol,
-            hints=hints,
-            count_multiplicity=form is None and generatrix is None,
-        )
+        # hints come from the verified form or generatrix of an Ellipsoid or
+        # Cylinder report, whose direction is unique per plane; skip the
+        # multiplicity exploration
+        sample = phi_map(body, region, PHI_GRID, opts.tol, hints=hints, count_multiplicity=False)
         diagnostics["phi_continuity_defect"] = sample.continuity_defect
         outcome = injectivity_test(sample)
     except (NoGeneratrix, AmbiguousDichotomy) as exc:
         diagnostics["phi_outcome"] = type(exc).__name__
-        diagnostics["phi_agrees"] = verdict == "NonKakutani"
+        diagnostics["phi_agrees"] = False
         return
     if isinstance(outcome, ConstantLine):
         diagnostics["phi_outcome"] = "ConstantLine"
@@ -480,11 +473,7 @@ def _restriction_cross_check(body, region, opts, report):
         sub = classify(sub_body, sub_region, opts=sub_opts)
         sub_verdicts.append(sub.verdict)
     report.diagnostics["restriction_verdicts"] = sub_verdicts
-    coherent = {
-        "Ellipsoid": {"Ellipsoid"},
-        "Cylinder": {"Cylinder", "Ellipsoid"},
-        "NonKakutani": {"Ellipsoid", "Cylinder", "NonKakutani"},
-    }[report.verdict]
+    coherent = {"Ellipsoid": {"Ellipsoid"}, "Cylinder": {"Cylinder", "Ellipsoid"}}[report.verdict]
     report.diagnostics["restriction_agrees"] = all(v in coherent for v in sub_verdicts)
 
 
@@ -593,7 +582,6 @@ def _classify(body, region, opts):
                 diagnostics,
                 form=form,
                 generatrix=generatrix,
-                base_plane=region.base,
             )
     else:
         # (c) constant direction: cylinder over the base section
@@ -613,7 +601,6 @@ def _classify(body, region, opts):
             {"generatrix": L0.frame, "base_plane": region.base.frame},
             diagnostics,
             generatrix=L0,
-            base_plane=region.base,
         )
 
     if opts.cross_checks:

@@ -104,29 +104,24 @@ def _refine_violation(body: Body, P, seeds, start_val: float, step0: float = 0.0
     return best, np.array(seeds, dtype=float)[0]
 
 
-def is_contracting(
-    body: Body,
-    X: Subspace,
-    Y: Subspace,
-    tol: float = DEFAULT_TOL,
-) -> ContractionCertificate:
-    """Certificate that projection onto X along Y does not increase the gauge.
-
-    violation is the largest observed gauge increase; holds means it stays
-    within tol.  Exact for Polytope bodies (projected vertices), sampled and
-    refined otherwise.
-    """
-    tally("certificates")
-    P = projector(X, Y)
+def _test_points(body: Body, dirs):
+    """Points the sampled violation is taken over, with their gauges: a
+    polytope's vertices (exact), otherwise dirs scaled onto the boundary."""
     if isinstance(body, Polytope):
-        V = body.vertices
-        v = body.gauge_many(V @ P.T) - body.gauge_many(V)
+        return body.vertices, body.gauge_many(body.vertices)
+    return _boundary_sample(body, dirs)
+
+
+def _certify(body: Body, X: Subspace, Y: Subspace, dirs, tol: float):
+    """Largest gauge increase under projection onto X along Y over the test
+    points of dirs; sampled bodies refine their strongest points."""
+    P = projector(X, Y)
+    pts, base = _test_points(body, dirs)
+    v = body.gauge_many(pts @ P.T) - base
+    if isinstance(body, Polytope):
         i = int(np.argmax(v))
         viol = float(v[i])
-        return ContractionCertificate(X, Y, viol, viol <= tol, V[i])
-    pts, base_gauge = _boundary_sample(body, sphere_directions(body.dim, CERT_SAMPLES))
-    proj_gauge = body.gauge_many(pts @ P.T)
-    v = proj_gauge - base_gauge
+        return ContractionCertificate(X, Y, viol, viol <= tol, pts[i])
     order = np.argsort(v)[::-1]
     viol = float(v[order[0]])
     # a catastrophic sampled violation already decides the certificate
@@ -137,6 +132,23 @@ def is_contracting(
     return ContractionCertificate(X, Y, viol, viol <= tol, worst)
 
 
+def is_contracting(
+    body: Body,
+    X: Subspace,
+    Y: Subspace,
+    tol: float = DEFAULT_TOL,
+) -> ContractionCertificate:
+    """Certificate that projection onto X along Y does not increase the gauge.
+
+    violation is the largest observed gauge increase; holds means it stays
+    within tol.  Exact for Polytope bodies (projected vertices), sampled and
+    refined otherwise.  Shares its certificate with cylinder_contains; only
+    the sample differs.
+    """
+    tally("certificates")
+    return _certify(body, X, Y, sphere_directions(body.dim, CERT_SAMPLES), tol)
+
+
 def cylinder_contains(
     body: Body,
     X: Subspace,
@@ -145,27 +157,13 @@ def cylinder_contains(
 ) -> bool:
     """Whether B sits inside the cylinder (B cut by X) + Y.
 
-    Tests containment directly: every sampled boundary point must project
-    into the body.  Kept separate from is_contracting so the two equivalent
-    characterisations can be compared against each other numerically; the
-    sample here is independently placed (fixed rotation of the direction set).
+    Every boundary point must project into the body, which is the same
+    certificate as is_contracting; only the sample differs, placed
+    independently by a fixed rotation of the direction set, so the two
+    characterisations can be compared against each other numerically.
     """
-    P = projector(X, Y)
-    if isinstance(body, Polytope):
-        V = body.vertices
-        return bool(np.max(body.gauge_many(V @ P.T) - body.gauge_many(V)) <= tol)
-    rot = _fixed_rotation(body.dim)
-    dirs = sphere_directions(body.dim, CERT_SAMPLES) @ rot.T
-    g = body.gauge_many(dirs)
-    keep = g > _FLAT_TOL
-    pts = dirs[keep] / g[keep, None]
-    worst = float(np.max(body.gauge_many(pts @ P.T)) - 1.0)
-    flat = dirs[~keep]
-    if flat.size:
-        worst = max(worst, float(np.max(body.gauge_many(flat @ P.T))))
-    seeds = pts[np.argsort(body.gauge_many(pts @ P.T))[::-1][:REFINE_TOP]]
-    refined, _ = _refine_violation(body, P, seeds, worst)
-    return max(worst, refined) <= tol
+    dirs = sphere_directions(body.dim, CERT_SAMPLES) @ _fixed_rotation(body.dim).T
+    return _certify(body, X, Y, dirs, tol).holds
 
 
 def _fixed_rotation(n: int):
@@ -213,29 +211,22 @@ _LAYER_EPS = (0.1, 0.03, 0.01, 3e-3, 1e-3, 3e-4, 1e-4)
 
 def _plane_layers(X: Subspace, per_ring: int = 32):
     """Directions hugging the plane X at geometrically spaced tilts."""
-    n, k = X.ambient, X.dim
-    W = X.orthogonal_complement().frame
-    U = sphere_directions(k, per_ring) @ X.frame.T
-    rings = []
-    for eps in _LAYER_EPS:
-        for j in range(n - k):
-            w = eps * W[:, j]
-            rings.append(U + w)
-            rings.append(U - w)
-    return np.vstack(rings)
+    n = X.ambient
+    Wt = X.orthogonal_complement().frame.T
+    U = sphere_directions(X.dim, per_ring) @ X.frame.T
+    # rings ordered by tilt, then complement axis, then sign
+    tilts = np.array(_LAYER_EPS)[:, None, None, None] * np.stack([Wt, -Wt], 1)
+    return (U[None] + tilts.reshape(-1, 1, n)).reshape(-1, n)
 
 
-def _batch_violation(body: Body, X: Subspace, Y0: Subspace, Ms, dirs):
-    """Coarse violation for a batch of direction coordinates (B, k, n-k).
+def _batch_violation(body: Body, X: Subspace, Y0: Subspace, Ms, sample):
+    """Coarse violation for a batch of direction coordinates (B, k, n-k) over
+    sample = _test_points(body, dirs).
 
     Y0 is orthonormal and orthogonal to X, so the projector onto X along
     span(Y0 + X M) is X (X^T - M Y0^T) in closed form.
     """
-    if isinstance(body, Polytope):
-        test = body.vertices
-        base = body.gauge_many(test)
-    else:
-        test, base = _boundary_sample(body, dirs)
+    test, base = sample
     P = X.frame @ (X.frame.T - Ms @ Y0.frame.T)
     proj = (test @ P.transpose(0, 2, 1)).reshape(-1, X.ambient)
     vals = body.gauge_many(proj).reshape(len(Ms), len(test)) - base[None, :]
@@ -256,7 +247,8 @@ def _coords_of_direction(X: Subspace, Y0: Subspace, Y: Subspace):
 def _descend(body, X, Y0, Ms, dirs, step0, max_iter):
     """Batched coordinate descent of the sampled violation over graph coords."""
     k, nk = Ms.shape[1], Ms.shape[2]
-    vals = _batch_violation(body, X, Y0, Ms, dirs)
+    sample = _test_points(body, dirs)
+    vals = _batch_violation(body, X, Y0, Ms, sample)
     step = step0
     it = 0
     hits = 0
@@ -267,7 +259,7 @@ def _descend(body, X, Y0, Ms, dirs, step0, max_iter):
             for s in (step, -step):
                 cand = Ms[act].copy()
                 cand[(slice(None),) + idx] += s
-                cv = _batch_violation(body, X, Y0, cand, dirs)
+                cv = _batch_violation(body, X, Y0, cand, sample)
                 mask = cv < vals[act] - 1e-18
                 rows = act[mask]
                 Ms[rows] = cand[mask]
@@ -332,7 +324,6 @@ def find_contracting_direction(
     n, k = X.ambient, X.dim
     Y0 = X.orthogonal_complement()
     best_viol = np.inf
-    dirs = np.vstack([sphere_directions(n, opts.coarse_samples), _plane_layers(X)])
 
     # certified warm candidates short-circuit when only existence matters
     warm_hits = []
@@ -354,6 +345,7 @@ def find_contracting_direction(
             if M is not None:
                 warm_seeds.append(M)
 
+    dirs = np.vstack([sphere_directions(n, opts.coarse_samples), _plane_layers(X)])
     # polish phase: failed warm candidates descend locally before any
     # multistart, which is what keeps neighboring-plane sweeps cheap
     if warm_seeds and not warm_hits:

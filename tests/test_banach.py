@@ -281,6 +281,29 @@ def test_equivalence_spatial_rejects_mixed():
     assert linear_equivalent_sections(mixed, X1, X2) is None
 
 
+def test_radials_from_an_off_centre_inscribed_ellipse():
+    # a triangle's inscribed ellipse sits off the origin, so its radial
+    # extents come from the general-centre bisection
+    tri = Polytope([[1.0, 0.2], [-0.4, 0.9], [-0.6, -0.7]])
+    body = Cylinder(tri, XY, Subspace.coordinate(3, 2))
+    M, c = max_inscribed_ellipsoid(section_samples(body, XY, 256).functionals)
+    assert np.linalg.norm(c) >= 1e-2
+    ang = np.linspace(0.0, 2.0 * np.pi, 90, endpoint=False)
+    dirs = np.column_stack([np.cos(ang), np.sin(ang)])
+    got = banach_module._radials(SectionBody(body, XY), M, c, dirs)
+    # in XY's frame coordinates the section is the triangle: from c along w
+    # the boundary is at min over facets a with a.w > 0 of (1 - a.c) / (a.w)
+    aw = dirs @ M.T @ tri.facets.T
+    ratio = (1.0 - tri.facets @ c) / np.where(aw > 0.0, aw, 1.0)
+    exact = np.where(aw > 0.0, ratio, np.inf).min(axis=1)
+    assert np.abs(got / exact - 1.0).max() <= 1e-12
+    # sections of a cylinder are linear images of its base
+    tilted = Subspace.span([1.0, 0.0, 0.3], [0.0, 1.0, -0.2])
+    w = linear_equivalent_sections(body, XY, tilted)
+    assert w is not None and w.residual <= 1e-9
+    assert_maps_section(body, XY, tilted, w.map, 1e-9)
+
+
 # -------------------------------------------------------------- tensor algebra
 
 
@@ -398,6 +421,26 @@ def test_tangency_transfer_on_ellipses():
         Q = random_spd(rng, 2, cond=9.0)
         rep = verify_R_tangency(Ellipsoid(Q), FULL2, random_trace_free(rng), m=24)
         assert not (rep.hypothesis_ok and not rep.conclusion_ok)
+
+
+def test_tangency_on_a_spatial_section():
+    # the section of the unit 4-ball by the first three coordinates is the
+    # unit 3-ball: skew fields are tangent to it, a diagonal stretch is not
+    X = Subspace.coordinate(4, 0, 1, 2)
+    E = np.zeros((3, 3, 3))
+    E[0] = [[0.0, 1.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 0.0, 0.0]]
+    E[1] = [[0.0, 0.0, 0.5], [0.0, 0.0, 0.0], [-0.5, 0.0, 0.0]]
+    E[2] = [[0.0, 0.0, 0.0], [0.0, 0.0, -2.0], [0.0, 2.0, 0.0]]
+    rep = verify_R_tangency(Ellipsoid(np.eye(4)), X, RTensor(E), m=64)
+    assert rep.hypothesis_ok and rep.conclusion_ok
+    assert rep.worst_violation <= 1e-12
+    E = np.zeros((3, 3, 3))
+    E[0] = np.diag([1.0, -1.0, 0.0])
+    rep = verify_R_tangency(Ellipsoid(np.eye(4)), X, RTensor(E), m=64)
+    assert not rep.hypothesis_ok and not rep.conclusion_ok
+    assert rep.worst_violation >= 0.9
+    lam, p = rep.witness
+    assert abs(np.linalg.norm(lam) - 1.0) <= 1e-12 and abs(np.linalg.norm(p) - 1.0) <= 1e-12
 
 
 # ----------------------------------------------------------------- classifier

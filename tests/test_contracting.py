@@ -161,6 +161,46 @@ def test_pball_doubly_tilted_plane_has_no_direction():
     assert 1.4e-3 <= res.best_violation <= 2.4e-3
 
 
+def test_cold_search_samples_the_coarse_set_once_per_descent(monkeypatch):
+    body = PBall(4.0, np.eye(3))
+    X = Subspace.span([1.0, 0.0, 0.3], [0.0, 1.0, 0.2])
+    coarse = len(sphere_directions(3, contracting_module.SEARCH_SAMPLES))
+    coarse += len(contracting_module._plane_layers(X))
+    sample, descend = contracting_module._boundary_sample, contracting_module._descend
+    rows, descents = [], []
+
+    def counting_sample(body, dirs):
+        rows.append(len(dirs))
+        return sample(body, dirs)
+
+    def counting_descend(*args):
+        descents.append(len(args[4]))
+        return descend(*args)
+
+    monkeypatch.setattr(contracting_module, "_boundary_sample", counting_sample)
+    monkeypatch.setattr(contracting_module, "_descend", counting_descend)
+    assert not find_contracting_direction(body, X)
+    # each feedback round of a polish appends one worst point to the set
+    coarse_rows = [m for m in rows if coarse <= m <= coarse + 3]
+    assert descents and set(descents) <= set(range(coarse, coarse + 4))
+    assert len(coarse_rows) <= len(descents)
+
+
+def test_warm_certified_search_builds_no_coarse_set(monkeypatch):
+    calls = []
+    layers = contracting_module._plane_layers
+    monkeypatch.setattr(
+        contracting_module, "_plane_layers", lambda *a: calls.append(a) or layers(*a)
+    )
+    body = Ellipsoid(np.diag([1.0, 2.0, 3.0]))
+    res = find_contracting_direction(body, XY, DirectionSearch(warm=(Z,), first_only=True))
+    assert res and calls == []
+    # a warm candidate that fails to certify descends on the coarse set
+    near = Subspace.span([0.05, 0.0, 1.0])
+    res = find_contracting_direction(body, XY, DirectionSearch(warm=(near,), first_only=True))
+    assert res and len(calls) == 1
+
+
 def test_truncated_cylinder_axis_certifies():
     body = disk_cylinder()
     cert = is_contracting(body, XY, Z)
@@ -206,7 +246,8 @@ def test_batch_violation_matches_row_loop():
     dirs = sphere_directions(n, 64)
     Ms = r.normal(scale=0.3, size=(6, k, n - k))
     for body in (Ellipsoid(Q), random_polytope(r, n, 12)):
-        got = contracting_module._batch_violation(body, X, Y0, Ms, dirs)
+        sample = contracting_module._test_points(body, dirs)
+        got = contracting_module._batch_violation(body, X, Y0, Ms, sample)
         if isinstance(body, Polytope):
             test = body.vertices
         else:
@@ -218,8 +259,55 @@ def test_batch_violation_matches_row_loop():
             ref.append(max(body.gauge_many((P @ t)[None])[0] - b for t, b in zip(test, base)))
         ref = np.array(ref)
         assert np.all(np.abs(got - ref) <= 1e-12 * np.maximum(1.0, np.abs(ref)))
-        empty = contracting_module._batch_violation(body, X, Y0, Ms[:0], dirs)
+        empty = contracting_module._batch_violation(body, X, Y0, Ms[:0], sample)
         assert empty.shape == (0,)
+
+
+def _cylinder_contains_by_own_sampler(body, X, Y, tol=contracting_module.DEFAULT_TOL):
+    """cylinder_contains as it stood with its own vertex branch, flat split,
+    seed pick and refinement."""
+    P = projector(X, Y)
+    if isinstance(body, Polytope):
+        V = body.vertices
+        return bool(np.max(body.gauge_many(V @ P.T) - body.gauge_many(V)) <= tol)
+    rot = contracting_module._fixed_rotation(body.dim)
+    dirs = sphere_directions(body.dim, contracting_module.CERT_SAMPLES) @ rot.T
+    g = body.gauge_many(dirs)
+    keep = g > contracting_module._FLAT_TOL
+    pts = dirs[keep] / g[keep, None]
+    worst = float(np.max(body.gauge_many(pts @ P.T)) - 1.0)
+    flat = dirs[~keep]
+    if flat.size:
+        worst = max(worst, float(np.max(body.gauge_many(flat @ P.T))))
+    seeds = pts[np.argsort(body.gauge_many(pts @ P.T))[::-1][: contracting_module.REFINE_TOP]]
+    refined, _ = contracting_module._refine_violation(body, P, seeds, worst)
+    return max(worst, refined) <= tol
+
+
+def test_cylinder_contains_matches_its_own_sampler(box3):
+    r = rng(32)
+    A = r.normal(size=(3, 3)) + 2.0 * np.eye(3)
+    octa = Polytope(np.vstack([np.eye(3), -np.eye(3)]))
+    cases = []
+    for n in (3, 4):
+        Q = random_spd(r, n, cond=20.0)
+        X = Subspace(r.normal(size=(n, 2)))
+        cases.append((Ellipsoid(Q), X, q_complement(Q, X)))
+    # A maps the coordinate split of the p-ball to a contracting pair
+    cases.append((PBall(3.5, A), Subspace(A[:, :2]), Subspace(A[:, 2:])))
+    cases.append((Intersection([Ellipsoid(np.diag([1.0, 2.0, 3.0])), box3]), XY, Z))
+    cases.append((Intersection([Ellipsoid(np.eye(3) / 1.6), random_polytope(r, 3, 12)]), XY, Z))
+    cases.append((octa, XY, Subspace.span([0.5, 0.3, 1.0])))
+    cases.append((random_polytope(r, 3, 10), XY, Z))
+    cases.append((Cylinder(Ellipsoid(np.eye(2)), XY, Z), XY, Z))
+    verdicts = []
+    for body, X, good in cases:
+        for scale in (0.0, 1e-3, 0.3):
+            Y = Subspace(good.frame + scale * r.normal(size=good.frame.shape))
+            want = _cylinder_contains_by_own_sampler(body, X, Y)
+            assert cylinder_contains(body, X, Y) == want
+            verdicts.append(want)
+    assert any(verdicts) and not all(verdicts)
 
 
 def _refine_by_coordinate_loop(body, P, seeds, start_val, step0=0.05):
