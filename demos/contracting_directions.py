@@ -10,7 +10,6 @@ factor lambda with |lambda| <= 1.
 import numpy as np
 
 from kkit import (
-    DirectionSearch,
     Ellipsoid,
     Polytope,
     Subspace,
@@ -42,7 +41,7 @@ def main():
     body = Ellipsoid(Q)
     X = Subspace.span([1.0, 0.0, 0.2], [0.0, 1.0, 0.1])
     truth = Subspace(np.linalg.solve(Q, X.orthogonal_complement().frame))
-    res = find_contracting_direction(body, X, DirectionSearch())
+    res = find_contracting_direction(body, X)
     found = res.found[0].direction.frame[:, 0]
     want = truth.frame[:, 0]
     print(f"ellipsoid search: found direction {np.round(found, 6)}")

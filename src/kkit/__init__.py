@@ -46,7 +46,6 @@ from .classifier import (
 )
 from .contracting import (
     ContractionCertificate,
-    DirectionSearch,
     DirectionSearchResult,
     cylinder_contains,
     find_contracting_direction,
@@ -81,7 +80,6 @@ __all__ = [
     "random_subspace",
     "sphere_directions",
     "ContractionCertificate",
-    "DirectionSearch",
     "DirectionSearchResult",
     "is_contracting",
     "cylinder_contains",

@@ -280,16 +280,16 @@ class SectionBody(Body):
         return self.inner._support_many(U @ self.plane.frame.T) @ self.plane.frame
 
 
-def fd_gradient(f, P, step: float = FD_STEP):
+def fd_gradient(f, P):
     """Richardson-extrapolated central difference gradient of a batched scalar
     field f (rows to values) at every row of P."""
     P = np.asarray(P, dtype=float)
     m, n = P.shape
-    h = np.array([step, -step, 0.5 * step, -0.5 * step])
+    h = np.array([FD_STEP, -FD_STEP, 0.5 * FD_STEP, -0.5 * FD_STEP])
     X = P[None, None] + h[:, None, None, None] * np.eye(n)[None, :, None, :]
     F = f(X.reshape(-1, n)).reshape(4, n, m)
-    d1 = (F[0] - F[1]) / (2.0 * step)
-    d2 = (F[2] - F[3]) / step
+    d1 = (F[0] - F[1]) / (2.0 * FD_STEP)
+    d2 = (F[2] - F[3]) / FD_STEP
     return ((4.0 * d2 - d1) / 3.0).T
 
 

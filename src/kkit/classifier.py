@@ -15,7 +15,6 @@ import numpy as np
 from .bodies import Body, SectionBody, section_samples
 from .contracting import (
     DEFAULT_TOL,
-    DirectionSearch,
     cylinder_contains,
     find_contracting_direction,
     is_contracting,
@@ -39,7 +38,6 @@ from .linalg import (
     join,
     meet,
     orthonormal_frame,
-    project,
     projector,
     sphere_directions,
     subspace_angle,
@@ -154,19 +152,8 @@ def phi_map(
     mult = []
     for X in planes:
         warm = tuple(hints(X)) if hints is not None else ()
-        # lighter exploration than the default: certificates stay at full
-        # strength, only the multistart lattice shrinks
         res = find_contracting_direction(
-            body,
-            X,
-            DirectionSearch(
-                tol=tol,
-                warm=warm,
-                starts=32,
-                coarse_samples=256,
-                max_iter=100,
-                first_only=not count_multiplicity,
-            ),
+            body, X, tol, warm=warm, first_only=not count_multiplicity
         )
         if not res:
             raise NoGeneratrix(X, res.best_violation)
@@ -347,7 +334,7 @@ def reduce_pair(
                 lim = nxt
                 break
             lim = nxt
-    direct = np.array([project(W, Z, q) for q in Q])
+    direct = Q @ projector(W, Z).T
     scale = np.maximum(1.0, np.linalg.norm(Q, axis=1))
     probe_error = float((np.linalg.norm(lim - direct, axis=1) / scale).max())
     cert = is_contracting(body, W, Z, tol)
@@ -543,12 +530,9 @@ def _classify(body, region, opts):
     for i, X in enumerate(planes):
         tally("planes_swept")
         lines = ([predict(X)] if predict is not None else []) + warm[:2]
-        search = DirectionSearch(
-            tol=opts.tol,
-            warm=tuple(lines),
-            first_only=(i > 0 or predict is not None),
+        res = find_contracting_direction(
+            body, X, opts.tol, warm=lines, first_only=(i > 0 or predict is not None)
         )
-        res = find_contracting_direction(body, X, search)
         if not res:
             return ClassificationReport(
                 "NonKakutani",

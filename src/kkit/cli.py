@@ -28,7 +28,7 @@ from .bodies import (
     section_samples,
 )
 from .classifier import ClassifyOptions, classify
-from .contracting import DirectionSearch, find_contracting_direction, is_contracting
+from .contracting import DEFAULT_TOL, find_contracting_direction, is_contracting
 from .errors import HypothesisFailed, KkitError
 from .linalg import GrassmannChart, Subspace
 from .quadform import fit_section_quadric
@@ -238,7 +238,7 @@ def cmd_banach(args) -> int:
 def cmd_contract(args) -> int:
     body = load_body(args.body)
     X = load_plane(args.plane)
-    tol = args.tol if args.tol is not None else 1e-7
+    tol = args.tol if args.tol is not None else DEFAULT_TOL
     echo = _config_echo(
         args, body=args.body, plane=args.plane, direction=args.direction or ""
     )
@@ -253,7 +253,7 @@ def cmd_contract(args) -> int:
                 "violation": float(cert.violation),
             }
         else:
-            res = find_contracting_direction(body, X, opts=DirectionSearch(tol=tol))
+            res = find_contracting_direction(body, X, tol)
             verdict = "Contracting" if res else "NotContracting"
             witness = {
                 "best_violation": float(res.best_violation),

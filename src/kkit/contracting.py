@@ -4,18 +4,19 @@ A plane X is contracting with direction Y when the oblique projection onto X
 along Y does not increase the gauge.  For polytopes the test is exact via the
 vertex images; for everything else the violation is maximized over a dense
 deterministic boundary sample and refined by local search from the strongest
-sample points.
+sample points.  Directions are searched on a GrassmannChart of (n-k)-planes
+over the orthogonal complement of X, whose graph coordinates run along X.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.spatial.distance import cdist
-from scipy.stats import qmc
 
 from .bodies import Body, Cylinder, Polytope, SectionBody, section_samples
 from .errors import NonComplementary
 from .linalg import (
+    GrassmannChart,
     Subspace,
     projector,
     sphere_directions,
@@ -37,6 +38,18 @@ DEDUP_ANGLE = 1e-4
 REFINE_TOP = 8
 # Half-width of the multistart box in graph coordinates.
 SEARCH_SPAN = 1.5
+# Cold multistart: number of starts and the descent's iteration cap.
+STARTS = 64
+MAX_ITER = 200
+# Pattern-search step of the certificate refinement.  It need only cover the
+# sample spacing the seeds came from; the certificate sampler is dense enough
+# that 0.05 reaches the true argmax.
+REFINE_STEP = 0.05
+# Directions per ring of the plane-hugging layers.
+LAYER_RING = 32
+# Re-descent after a marginal certificate failure: first step and iteration cap.
+POLISH_STEP = 0.02
+POLISH_ITERS = 80
 
 
 @dataclass
@@ -57,12 +70,9 @@ def _boundary_sample(body: Body, dirs):
     return dirs / scale[:, None], np.where(g > _FLAT_TOL, 1.0, 0.0)
 
 
-def _refine_violation(body: Body, P, seeds, start_val: float, step0: float = 0.05):
-    """Pattern search on the direction sphere from the strongest samples.
-
-    step0 need only cover the sample spacing the seeds came from; the
-    certificate sampler is dense enough that 0.05 reaches the true argmax.
-    """
+def _refine_violation(body: Body, P, seeds, start_val: float):
+    """Pattern search on the direction sphere from the strongest samples,
+    starting at step REFINE_STEP."""
     n = body.dim
     pts = np.array(seeds, dtype=float)
     best = start_val
@@ -75,7 +85,7 @@ def _refine_violation(body: Body, P, seeds, start_val: float, step0: float = 0.0
     cols = np.arange(len(pts))
     # the 2n signed coordinate moves: rows +e_0, -e_0, +e_1, -e_1, ...
     moves = np.kron(np.eye(n), [[1.0], [-1.0]])
-    step = step0
+    step = REFINE_STEP
     hits = 0
     while step > 1e-7:
         # all 2n moves for every seed, one batched evaluation; flat is a view,
@@ -173,18 +183,6 @@ def _fixed_rotation(n: int):
 
 
 @dataclass
-class DirectionSearch:
-    """Knobs for find_contracting_direction."""
-
-    tol: float = DEFAULT_TOL
-    starts: int = 64
-    max_iter: int = 200
-    coarse_samples: int = SEARCH_SAMPLES
-    warm: tuple = ()
-    first_only: bool = False
-
-
-@dataclass
 class DirectionSearchResult:
     """Certified directions (deduped) plus the best violation seen overall."""
 
@@ -201,6 +199,7 @@ class DirectionSearchResult:
 
 
 def _direction_from_coords(X: Subspace, Y0: Subspace, M):
+    """The chart's plane at M without its box check: descent is unconstrained."""
     return Subspace(Y0.frame + X.frame @ M)
 
 
@@ -209,11 +208,11 @@ def _direction_from_coords(X: Subspace, Y0: Subspace, M):
 _LAYER_EPS = (0.1, 0.03, 0.01, 3e-3, 1e-3, 3e-4, 1e-4)
 
 
-def _plane_layers(X: Subspace, per_ring: int = 32):
+def _plane_layers(X: Subspace):
     """Directions hugging the plane X at geometrically spaced tilts."""
     n = X.ambient
     Wt = X.orthogonal_complement().frame.T
-    U = sphere_directions(X.dim, per_ring) @ X.frame.T
+    U = sphere_directions(X.dim, LAYER_RING) @ X.frame.T
     # rings ordered by tilt, then complement axis, then sign
     tilts = np.array(_LAYER_EPS)[:, None, None, None] * np.stack([Wt, -Wt], 1)
     return (U[None] + tilts.reshape(-1, 1, n)).reshape(-1, n)
@@ -231,17 +230,6 @@ def _batch_violation(body: Body, X: Subspace, Y0: Subspace, Ms, sample):
     proj = (test @ P.transpose(0, 2, 1)).reshape(-1, X.ambient)
     vals = body.gauge_many(proj).reshape(len(Ms), len(test)) - base[None, :]
     return vals.max(axis=1)
-
-
-def _coords_of_direction(X: Subspace, Y0: Subspace, Y: Subspace):
-    """Graph coordinates M with span(Y0 + X M) = span(Y), or None."""
-    k = X.dim
-    A = np.column_stack([X.frame, Y0.frame])
-    C = np.linalg.solve(A, Y.frame)
-    Ax, By = C[:k], C[k:]
-    if np.linalg.cond(By) > 1e8:
-        return None
-    return Ax @ np.linalg.inv(By)
 
 
 def _descend(body, X, Y0, Ms, dirs, step0, max_iter):
@@ -281,21 +269,21 @@ def _descend(body, X, Y0, Ms, dirs, step0, max_iter):
     return Ms, vals
 
 
-def _certify_polished(body, X, Y0, M, dirs, opts, step0: float = 0.02, iters: int = 80):
+def _certify_polished(body, X, Y0, M, dirs, tol):
     """Certify the direction at coords M; a marginal failure feeds the
     certifier's worst boundary direction back into the sampled objective and
     re-descends, closing the gap between search and certificate."""
-    cert = is_contracting(body, X, _direction_from_coords(X, Y0, M), opts.tol)
+    cert = is_contracting(body, X, _direction_from_coords(X, Y0, M), tol)
     rounds = 0
     while (
         not cert.holds
-        and cert.violation <= max(1e3 * opts.tol, 0.05)
+        and cert.violation <= max(1e3 * tol, 0.05)
         and cert.worst is not None
         and rounds < 3
     ):
         dirs = np.vstack([dirs, cert.worst[None, :]])
-        Ms, _ = _descend(body, X, Y0, M[None].copy(), dirs, step0, iters)
-        cert2 = is_contracting(body, X, _direction_from_coords(X, Y0, Ms[0]), opts.tol)
+        Ms, _ = _descend(body, X, Y0, M[None].copy(), dirs, POLISH_STEP, POLISH_ITERS)
+        cert2 = is_contracting(body, X, _direction_from_coords(X, Y0, Ms[0]), tol)
         if cert2.violation >= cert.violation - 1e-15:
             if cert2.violation < cert.violation:
                 cert = cert2
@@ -308,72 +296,68 @@ def _certify_polished(body, X, Y0, M, dirs, opts, step0: float = 0.02, iters: in
 def find_contracting_direction(
     body: Body,
     X: Subspace,
-    opts: DirectionSearch = None,
+    tol: float = DEFAULT_TOL,
+    warm=(),
+    first_only: bool = False,
 ) -> DirectionSearchResult:
     """Search Gr_{n-k} for directions making X contracting.
 
-    Multistart coordinate descent in graph coordinates over the orthogonal
-    complement of X, followed by certification at full sample density.  All
-    tied minimizers below tol are returned, deduplicated at a small principal
-    angle, so callers can count them.  Warm-start candidates in opts.warm are
-    certified first; with opts.first_only the first certified direction short
-    circuits the search.
+    The search runs on the GrassmannChart of (n-k)-planes over Y0 = X^perp,
+    with graph coordinates along X and the box half-width SEARCH_SPAN:
+    multistart coordinate descent of a coarse sampled violation from the
+    chart's STARTS-point grid, then certification at full sample density.
+    All tied minimizers below tol are returned, deduplicated at a small
+    principal angle, so callers can count them.  Warm-start candidates in
+    warm are certified first; with first_only the first certified direction
+    short circuits the search.
     """
     tally("direction_searches")
-    opts = opts or DirectionSearch()
     n, k = X.ambient, X.dim
     Y0 = X.orthogonal_complement()
+    chart = GrassmannChart(Y0, SEARCH_SPAN, transversal=X)
     best_viol = np.inf
 
     # certified warm candidates short-circuit when only existence matters
     warm_hits = []
     warm_seeds = []
-    for Yc in opts.warm:
+    for Yc in warm:
         if Yc.ambient != n or Yc.dim != n - k:
             continue
         try:
-            cert = is_contracting(body, X, Yc, opts.tol)
+            cert = is_contracting(body, X, Yc, tol)
         except NonComplementary:
             continue
         best_viol = min(best_viol, cert.violation)
         if cert.holds:
             warm_hits.append(cert)
-            if opts.first_only:
+            if first_only:
                 return DirectionSearchResult(X, warm_hits, cert.violation)
         else:
-            M = _coords_of_direction(X, Y0, Yc)
-            if M is not None:
-                warm_seeds.append(M)
+            # the certificate accepted cond([X Yc]), which bounds cond(Y0^T Yc),
+            # so Yc is a graph over Y0
+            warm_seeds.append(chart.coords(Yc))
 
-    dirs = np.vstack([sphere_directions(n, opts.coarse_samples), _plane_layers(X)])
+    dirs = np.vstack([sphere_directions(n, SEARCH_SAMPLES), _plane_layers(X)])
     # polish phase: failed warm candidates descend locally before any
     # multistart, which is what keeps neighboring-plane sweeps cheap
     if warm_seeds and not warm_hits:
         Ms = np.array(warm_seeds)
         Ms, vals = _descend(body, X, Y0, Ms, dirs, 0.05, 60)
         i = int(np.argmin(vals))
-        cert = _certify_polished(body, X, Y0, Ms[i], dirs, opts)
+        cert = _certify_polished(body, X, Y0, Ms[i], dirs, tol)
         best_viol = min(best_viol, cert.violation)
         if cert.holds:
             warm_hits.append(cert)
-            if opts.first_only:
+            if first_only:
                 return DirectionSearchResult(X, warm_hits, cert.violation)
 
-    d = k * (n - k)
-    per_axis = max(2, int(round(opts.starts ** (1.0 / d))))
-    if per_axis**d <= opts.starts * 2 and per_axis**d >= opts.starts // 2:
-        axes = [np.linspace(-SEARCH_SPAN, SEARCH_SPAN, per_axis)] * d
-        mesh = np.meshgrid(*axes, indexing="ij")
-        flat = np.stack([m.reshape(-1) for m in mesh], axis=1)[: opts.starts]
-    else:
-        flat = (2.0 * qmc.Sobol(d, scramble=False).random(opts.starts) - 1.0) * SEARCH_SPAN
-    Ms = flat.reshape(-1, k, n - k)
-
-    Ms, vals = _descend(body, X, Y0, Ms, dirs, SEARCH_SPAN / 4.0, opts.max_iter)
+    per_axis = max(2, round(STARTS ** (1.0 / chart.dim)))
+    Ms = np.array(chart.grid(per_axis, STARTS))
+    Ms, vals = _descend(body, X, Y0, Ms, dirs, SEARCH_SPAN / 4.0, MAX_ITER)
     # cluster candidate minimizers before the expensive certification; always
     # certify the best one so failures report a full-density violation
     order = np.argsort(vals)
-    cutoff = max(opts.tol * 10.0, float(vals[order[0]]) + 1e-12)
+    cutoff = max(tol * 10.0, float(vals[order[0]]) + 1e-12)
     reps = []
     for i in order:
         if len(reps) >= 8 or (vals[i] > cutoff and reps):
@@ -384,7 +368,7 @@ def find_contracting_direction(
         reps.append((Ms[i], Yc))
     found = list(warm_hits)
     for M, Yc in reps:
-        cert = _certify_polished(body, X, Y0, M, dirs, opts)
+        cert = _certify_polished(body, X, Y0, M, dirs, tol)
         best_viol = min(best_viol, cert.violation)
         if cert.holds:
             if all(
@@ -392,7 +376,7 @@ def find_contracting_direction(
                 for c in found
             ):
                 found.append(cert)
-            if opts.first_only:
+            if first_only:
                 break
     found.sort(key=lambda c: c.violation)
     return DirectionSearchResult(X, found, best_viol)

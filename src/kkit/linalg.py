@@ -23,6 +23,8 @@ EQUAL_TOL = 1e-10
 RANK_RTOL = 1e-10
 # Condition number beyond which a projection pair counts as non-complementary.
 COND_MAX = 1e12
+# Slack on a chart's box bounds, so coordinates at the edge count as inside.
+BOX_TOL = 1e-12
 
 
 def orthonormal_frame(vectors):
@@ -85,12 +87,12 @@ class Subspace:
         U, _, _ = np.linalg.svd(self.frame, full_matrices=True)
         return Subspace(U[:, k:])
 
-    def is_same(self, other, tol: float = EQUAL_TOL) -> bool:
+    def is_same(self, other) -> bool:
         if self.dim != other.dim or self.ambient != other.ambient:
             return False
         if self.dim == 0:
             return True
-        return float(np.max(principal_angles(self, other))) <= tol
+        return float(np.max(principal_angles(self, other))) <= EQUAL_TOL
 
     def __repr__(self):
         return f"Subspace(dim={self.dim}, ambient={self.ambient})"
@@ -188,8 +190,8 @@ class GrassmannChart:
         """Dimension of the chart parameter space, k*(n-k)."""
         return self.base.dim * (self.base.ambient - self.base.dim)
 
-    def contains_coords(self, M, tol: float = 1e-12) -> bool:
-        return bool(np.all(np.abs(np.asarray(M, dtype=float)) <= self.halfwidths + tol))
+    def contains_coords(self, M) -> bool:
+        return bool(np.all(np.abs(np.asarray(M, dtype=float)) <= self.halfwidths + BOX_TOL))
 
     def plane(self, M) -> Subspace:
         """Plane with graph coefficients M, raising OutOfChart beyond the box."""

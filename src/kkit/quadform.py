@@ -72,22 +72,22 @@ class SymmetricForm:
     def eigenvalues(self):
         return np.linalg.eigvalsh(self.ambient_coeffs)
 
-    def rank(self, rtol: float = DEGENERATE_RTOL) -> int:
+    def rank(self) -> int:
         w = np.abs(self.eigenvalues())
         top = w.max()
         if top == 0.0:
             return 0
-        return int(np.sum(w >= rtol * top))
+        return int(np.sum(w >= DEGENERATE_RTOL * top))
 
-    def is_psd(self, rtol: float = PSD_RTOL) -> bool:
+    def is_psd(self) -> bool:
         w = self.eigenvalues()
-        return bool(w.min() >= -rtol * max(w.max(), 0.0))
+        return bool(w.min() >= -PSD_RTOL * max(w.max(), 0.0))
 
-    def kernel(self, rtol: float = DEGENERATE_RTOL) -> Subspace:
+    def kernel(self) -> Subspace:
         A = self.ambient_coeffs
         w, U = np.linalg.eigh(A)
         top = np.abs(w).max()
-        keep = np.abs(w) < rtol * top if top > 0 else np.ones_like(w, bool)
+        keep = np.abs(w) < DEGENERATE_RTOL * top if top > 0 else np.ones_like(w, bool)
         return Subspace(U[:, keep])
 
 

@@ -35,7 +35,6 @@ from kkit.classifier import (
 )
 from kkit.cli import main
 from kkit.contracting import (
-    DirectionSearch,
     cylinder_contains,
     find_contracting_direction,
     is_contracting,
@@ -312,7 +311,7 @@ def test_criterion_09_collinearity_and_duality():
         for _ in range(3):
             X = Subspace.span(u, r.normal(size=3))
             res = find_contracting_direction(
-                body, X, DirectionSearch(warm=(q_complement(Q, X),), first_only=True)
+                body, X, warm=(q_complement(Q, X),), first_only=True
             )
             assert res
             dirs.append(res.found[0].direction.frame[:, 0])

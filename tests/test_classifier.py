@@ -16,7 +16,7 @@ from kkit.classifier import (
     support_check,
     tangent_field_fit,
 )
-from kkit.contracting import DirectionSearch, find_contracting_direction
+from kkit.contracting import find_contracting_direction
 from kkit.errors import (
     AmbiguousDichotomy,
     NoGeneratrix,
@@ -212,9 +212,7 @@ def test_phi_collinearity_on_concurrent_triples():
             w = rng.normal(size=3)
             X = Subspace.span(u, w)
             res = find_contracting_direction(
-                body,
-                X,
-                DirectionSearch(warm=(q_complement(Q, X),), first_only=True),
+                body, X, warm=(q_complement(Q, X),), first_only=True
             )
             assert res
             dirs.append(res.found[0].direction.frame[:, 0])

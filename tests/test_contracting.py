@@ -4,7 +4,6 @@ import pytest
 import kkit.contracting as contracting_module
 from kkit.bodies import Cylinder, Ellipsoid, Intersection, PBall, Polytope
 from kkit.contracting import (
-    DirectionSearch,
     cylinder_contains,
     find_contracting_direction,
     is_contracting,
@@ -104,21 +103,21 @@ def test_octahedron_admits_a_continuum_of_directions():
 
 def test_warm_start_short_circuits():
     body = Ellipsoid(np.diag([1.0, 2.0, 3.0]))
-    opts = DirectionSearch(warm=(Z,), first_only=True)
-    res = find_contracting_direction(body, XY, opts)
+    res = find_contracting_direction(body, XY, warm=(Z,), first_only=True)
     assert len(res.found) == 1
     assert subspace_angle(res.found[0].direction, Z) == 0.0
     # warm candidates with wrong shape are ignored, not fatal
-    opts = DirectionSearch(warm=(Subspace.coordinate(4, 3), XY, Z), first_only=True)
-    res = find_contracting_direction(body, XY, opts)
+    warm = (Subspace.coordinate(4, 3), XY, Z)
+    res = find_contracting_direction(body, XY, warm=warm, first_only=True)
     assert res and subspace_angle(res.found[0].direction, Z) == 0.0
 
 
 def test_warm_certificate_errors_propagate(monkeypatch):
     # a numerically degenerate candidate (a line inside the plane) is skipped
     body = Ellipsoid(np.diag([1.0, 2.0, 3.0]))
-    opts = DirectionSearch(warm=(Subspace.coordinate(3, 0), Z), first_only=True)
-    assert subspace_angle(find_contracting_direction(body, XY, opts).found[0].direction, Z) == 0.0
+    warm = (Subspace.coordinate(3, 0), Z)
+    res = find_contracting_direction(body, XY, warm=warm, first_only=True)
+    assert subspace_angle(res.found[0].direction, Z) == 0.0
     # any other failure of a warm certificate is raised, not turned into a
     # silent cold search
     real = contracting_module.is_contracting
@@ -132,7 +131,7 @@ def test_warm_certificate_errors_propagate(monkeypatch):
 
     monkeypatch.setattr(contracting_module, "is_contracting", broken_first)
     with pytest.raises(FloatingPointError):
-        find_contracting_direction(body, XY, DirectionSearch(warm=(Z,), first_only=True))
+        find_contracting_direction(body, XY, warm=(Z,), first_only=True)
 
 
 def test_pball_single_tilt_plane_is_contracting():
@@ -186,6 +185,33 @@ def test_cold_search_samples_the_coarse_set_once_per_descent(monkeypatch):
     assert len(coarse_rows) <= len(descents)
 
 
+@pytest.mark.parametrize("n,k", [(3, 2), (4, 2), (5, 4)])
+def test_cold_starts_are_balanced_inside_the_box(monkeypatch, n, k):
+    span = contracting_module.SEARCH_SPAN
+    descend = contracting_module._descend
+    starts = []
+
+    class Captured(Exception):
+        pass
+
+    def capturing_descend(body, X, Y0, Ms, dirs, step0, max_iter):
+        if step0 == span / 4.0:
+            starts.append(Ms.copy())
+            raise Captured
+        return descend(body, X, Y0, Ms, dirs, step0, max_iter)
+
+    monkeypatch.setattr(contracting_module, "_descend", capturing_descend)
+    X = Subspace(rng(k * n).normal(size=(n, k)))
+    with pytest.raises(Captured):
+        find_contracting_direction(Ellipsoid(np.eye(n)), X)
+    (Ms,) = starts
+    assert Ms.shape == (64, k, n - k)
+    flat = Ms.reshape(64, -1)
+    imbalance = np.abs(np.sum(flat < 0, axis=0) - np.sum(flat > 0, axis=0))
+    assert imbalance.max() <= 1, imbalance
+    assert np.abs(flat).max() <= span
+
+
 def test_warm_certified_search_builds_no_coarse_set(monkeypatch):
     calls = []
     layers = contracting_module._plane_layers
@@ -193,11 +219,11 @@ def test_warm_certified_search_builds_no_coarse_set(monkeypatch):
         contracting_module, "_plane_layers", lambda *a: calls.append(a) or layers(*a)
     )
     body = Ellipsoid(np.diag([1.0, 2.0, 3.0]))
-    res = find_contracting_direction(body, XY, DirectionSearch(warm=(Z,), first_only=True))
+    res = find_contracting_direction(body, XY, warm=(Z,), first_only=True)
     assert res and calls == []
     # a warm candidate that fails to certify descends on the coarse set
     near = Subspace.span([0.05, 0.0, 1.0])
-    res = find_contracting_direction(body, XY, DirectionSearch(warm=(near,), first_only=True))
+    res = find_contracting_direction(body, XY, warm=(near,), first_only=True)
     assert res and len(calls) == 1
 
 
