@@ -29,6 +29,10 @@ DET_MIN = 1e-8
 SCAN_OFFSETS = 720
 REFINE_SUB = 16
 REFINE_TOL = 1e-12
+# Largest signature mismatch of two sections that count as equivalent.
+EQUIV_TOL = 1e-6
+# Largest tangency defect |ell(R_lam p)| that verify_R_tangency accepts.
+TANGENCY_TOL = 1e-7
 # Direction sample of the 3D signature matcher.
 SPATIAL_DESIGN = 1024
 # Barrier weights of the inscribed-ellipsoid path following, one per stage.
@@ -320,16 +324,16 @@ def _section_match(body: Body, X1: Subspace, X2: Subspace, cache=None):
     return Lmap, res, True
 
 
-def linear_equivalent_sections(body: Body, X1: Subspace, X2: Subspace, tol: float = 1e-6):
+def linear_equivalent_sections(body: Body, X1: Subspace, X2: Subspace):
     """EquivalenceWitness(L, residual) with L(B cap X1) = B cap X2 in frame
-    coordinates, or None when the best mismatch exceeds tol.
+    coordinates, or None when the best mismatch exceeds EQUIV_TOL.
 
     Sections are normalized to maximal-inscribed-ellipsoid position (affine
     covariant), leaving a compact rotation/reflection search on boundary
     radial signatures.
     """
     Lmap, res, _ = _section_match(body, X1, X2)
-    if res > tol or abs(np.linalg.det(Lmap)) < DET_MIN:
+    if res > EQUIV_TOL or abs(np.linalg.det(Lmap)) < DET_MIN:
         return None
     return EquivalenceWitness(Lmap, res)
 
@@ -344,12 +348,13 @@ def _unit_covectors(k, m):
     return sphere_directions(3, m)
 
 
-def verify_R_tangency(body: Body, X: Subspace, R: RTensor, m: int = 64, tol: float = 1e-7):
+def verify_R_tangency(body: Body, X: Subspace, R: RTensor, m: int = 64):
     """Tangency report for R on the section K = B cap X.
 
     hypothesis_ok: for each of m unit covectors lam, the field R_lam is
     tangent to the section boundary at the points of ker lam cap bd K;
-    conclusion_ok: tangent at all m x m (lam, boundary point) pairs.  With
+    conclusion_ok: tangent at all m x m (lam, boundary point) pairs, both
+    within TANGENCY_TOL.  With
     nu present and the ambient one dimension up, the checked vector is
     R_lam(p) + lam(p) nu against the full body boundary.
     """
@@ -407,8 +412,8 @@ def verify_R_tangency(body: Body, X: Subspace, R: RTensor, m: int = 64, tol: flo
     elif hyp_worst > 0.0:
         witness = (ker_lams[i].copy(), ker_pts[i].copy())
     return TangencyReport(
-        hypothesis_ok=hyp_worst <= tol,
-        conclusion_ok=conc_worst <= tol,
+        hypothesis_ok=hyp_worst <= TANGENCY_TOL,
+        conclusion_ok=conc_worst <= TANGENCY_TOL,
         worst_violation=max(hyp_worst, conc_worst),
         witness=witness,
     )
@@ -420,7 +425,7 @@ def verify_R_tangency(body: Body, X: Subspace, R: RTensor, m: int = 64, tol: flo
 def banach_classify(
     body: Body,
     region: GrassmannChart,
-    tol: float = 1e-6,
+    tol: float = EQUIV_TOL,
     opts: ClassifyOptions = None,
 ):
     """Verify pairwise linear equivalence of sections over the region, then

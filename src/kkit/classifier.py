@@ -62,6 +62,8 @@ RESTRICTION_GRID = 3
 # Boundary points and kernel-plane angles of the dual support check.
 SUPPORT_POINTS = 32
 SUPPORT_ANGLES = 64
+# reduce_pair's certificate on the reduced pair (W, Z).
+REDUCE_TOL = 1e-9
 
 
 @dataclass
@@ -280,7 +282,6 @@ def reduce_pair(
     L1: Subspace,
     X2: Subspace,
     L2: Subspace,
-    tol: float = 1e-9,
 ) -> ReductionResult:
     """Combine two contracting hyperplane/line pairs into (W, Z) one
     dimension down, with the contraction factor of T = pr1 o pr2 on Z cap X1.
@@ -297,7 +298,7 @@ def reduce_pair(
     if L1.is_same(L2):
         raise SharedLine("the two lines coincide")
     for X, L in ((X1, L1), (X2, L2)):
-        cert = is_contracting(body, X, L, max(tol, DEFAULT_TOL))
+        cert = is_contracting(body, X, L, DEFAULT_TOL)
         if not cert.holds:
             raise PreconditionNotContracting(
                 f"pair not contracting: violation {cert.violation:.3e}"
@@ -337,7 +338,7 @@ def reduce_pair(
     direct = Q @ projector(W, Z).T
     scale = np.maximum(1.0, np.linalg.norm(Q, axis=1))
     probe_error = float((np.linalg.norm(lim - direct, axis=1) / scale).max())
-    cert = is_contracting(body, W, Z, tol)
+    cert = is_contracting(body, W, Z, REDUCE_TOL)
     return ReductionResult(W, Z, lam, cert, probe_error)
 
 
@@ -355,10 +356,12 @@ class ClassificationReport:
     witness: dict
     diagnostics: dict
     counters: dict = None
-    form: object = None
     generatrix: Subspace = None
 
     def to_dict(self):
+        """The report as plain JSON types: {verdict, witness, diagnostics,
+        timings}, dict keys sorted.  Arrays become nested row-major lists
+        and a Subspace becomes the list of its column vectors."""
         return {
             "verdict": self.verdict,
             "witness": _plain(self.witness),
@@ -373,7 +376,7 @@ def _plain(x):
     if isinstance(x, (list, tuple)):
         return [_plain(v) for v in x]
     if isinstance(x, Subspace):
-        return _plain(x.frame)
+        return _plain(x.frame.T)
     if isinstance(x, np.ndarray):
         return _plain(x.tolist())
     if isinstance(x, (np.bool_, bool)):
@@ -385,19 +388,24 @@ def _plain(x):
     return x
 
 
+def _form_direction(A, X):
+    """Directions y with Ay orthogonal to X: the A-complement of X, which
+    absorbs the kernel when the form is degenerate."""
+    _, s, Vt = np.linalg.svd(X.frame.T @ A)
+    r = int(np.sum(s > 1e-12 * s[0]))
+    return Subspace(Vt[r:].T)
+
+
 def _phi_cross_check(body, region, opts, report):
     """Stage (d): the projective pipeline must predict the report's verdict."""
-    verdict, form, generatrix = report.verdict, report.form, report.generatrix
+    verdict, generatrix = report.verdict, report.generatrix
     diagnostics = report.diagnostics
+    A = report.witness.get("form")
 
     def hints(X):
-        out = []
-        if form is not None and form.rank() == 3:
-            perp = X.orthogonal_complement().frame
-            out.append(Subspace(np.linalg.solve(form.ambient_coeffs, perp)))
-        if generatrix is not None:
-            out.append(generatrix)
-        return out
+        if A is not None:
+            return [_form_direction(A, X)]
+        return [generatrix] if generatrix is not None else []
 
     try:
         # hints come from the verified form or generatrix of an Ellipsoid or
@@ -510,16 +518,7 @@ def _classify(body, region, opts):
         quadric_witness = (exc.plane, exc.residual)
         form = None
 
-    predict = None
-    if form is not None and psd:
-        A = form.ambient_coeffs
-
-        def predict(X):
-            # directions y with Ay orthogonal to X: the A-complement of X,
-            # which absorbs the kernel when the form is degenerate
-            _, s, Vt = np.linalg.svd(X.frame.T @ A)
-            r = int(np.sum(s > 1e-12 * s[0]))
-            return Subspace(Vt[r:].T)
+    A = form.ambient_coeffs if form is not None and psd else None
 
     # (a) direction sweep, warm-started from the form prediction when one
     # exists and from the previous plane's direction otherwise; multiplicity
@@ -529,9 +528,9 @@ def _classify(body, region, opts):
     warm = []
     for i, X in enumerate(planes):
         tally("planes_swept")
-        lines = ([predict(X)] if predict is not None else []) + warm[:2]
+        lines = ([_form_direction(A, X)] if A is not None else []) + warm[:2]
         res = find_contracting_direction(
-            body, X, opts.tol, warm=lines, first_only=(i > 0 or predict is not None)
+            body, X, opts.tol, warm=lines, first_only=(i > 0 or A is not None)
         )
         if not res:
             return ClassificationReport(
@@ -544,14 +543,13 @@ def _classify(body, region, opts):
             diagnostics["base_multiplicity"] = len(res.found)
         warm = [res.found[0].direction] + warm[:1]
 
-    if form is not None and psd:
+    if A is not None:
         rank = form.rank()
         if rank == n:
             report = ClassificationReport(
                 "Ellipsoid",
                 {"form": form.ambient_coeffs, "psd": True, "rank": rank},
                 diagnostics,
-                form=form,
             )
         else:
             generatrix = form.kernel()
@@ -564,7 +562,6 @@ def _classify(body, region, opts):
                     "rank": rank,
                 },
                 diagnostics,
-                form=form,
                 generatrix=generatrix,
             )
     else:

@@ -1,12 +1,13 @@
 """Command line front end: body/region files, classification, reports, SVG.
 
 Body and region descriptions are JSON documents (schemas in docs/schemas.md);
-all matrices are row-major nested lists and subspace frames are lists of
-column vectors.  Reports share one top-level shape {verdict, witness,
-diagnostics, timings, config_echo} and are serialized with sorted keys so a
-fixed seed yields byte-identical output.  Exit codes: 0 for a positive
-verdict (Ellipsoid/Cylinder/Contracting/plot written), 2 for a certified
-negative (NonKakutani, HypothesisFailed, NotContracting), 1 for errors.
+all matrices are row-major nested lists and the frames of input files are
+lists of column vectors.  Each command loads its inputs and returns a
+ClassificationReport; main alone counts the work, echoes the parsed
+arguments, writes the report {verdict, witness, diagnostics, timings,
+config_echo} with sorted keys (a fixed seed yields byte-identical output) and
+sets the exit code: 0 for a verdict in POSITIVE, 2 for a certified negative
+(NonKakutani, HypothesisFailed, NotContracting), 1 for errors.
 """
 
 import argparse
@@ -27,7 +28,7 @@ from .bodies import (
     Polytope,
     section_samples,
 )
-from .classifier import ClassifyOptions, classify
+from .classifier import ClassificationReport, ClassifyOptions, classify
 from .contracting import DEFAULT_TOL, find_contracting_direction, is_contracting
 from .errors import HypothesisFailed, KkitError
 from .linalg import GrassmannChart, Subspace
@@ -37,6 +38,8 @@ from .tally import counting
 SVG_SIZE = 800
 SVG_MARGIN = 48
 SVG_SEGMENTS = 512
+# Verdicts that exit 0; every other report exits 2.
+POSITIVE = ("Ellipsoid", "Cylinder", "Contracting", "SectionPlotted")
 
 
 class CliError(Exception):
@@ -69,10 +72,6 @@ def _matrix(obj, where):
 def _subspace(obj, where):
     # frames are stored as lists of column vectors
     return Subspace(_matrix(obj, where).T)
-
-
-def _frame_cols(sub: Subspace):
-    return [[float(x) for x in col] for col in sub.frame.T]
 
 
 def body_from_dict(obj, where="body") -> Body:
@@ -124,8 +123,8 @@ def body_to_dict(body: Body) -> dict:
         return {
             "type": "cylinder",
             "base": body_to_dict(body.base),
-            "plane": _frame_cols(body.plane),
-            "generatrix": _frame_cols(body.generatrix),
+            "plane": body.plane.frame.T.tolist(),
+            "generatrix": body.generatrix.frame.T.tolist(),
         }
     if isinstance(body, LinearImage):
         return {"type": "linear_image", "A": body.A.tolist(), "inner": body_to_dict(body.inner)}
@@ -173,16 +172,6 @@ def _options(args) -> ClassifyOptions:
     return ClassifyOptions(**kw)
 
 
-def _config_echo(args, **paths) -> dict:
-    return {
-        "command": args.command,
-        "grid": args.grid,
-        "seed": args.seed,
-        "tol": args.tol,
-        **{k: str(v) for k, v in paths.items()},
-    }
-
-
 def write_report(doc: dict, path) -> None:
     try:
         text = json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n"
@@ -194,81 +183,42 @@ def write_report(doc: dict, path) -> None:
         sys.stdout.write(text)
 
 
-def _verdict_exit(verdict: str) -> int:
-    return 0 if verdict in ("Ellipsoid", "Cylinder") else 2
-
-
 # ------------------------------------------------------------------- commands
 
 
-def cmd_classify(args) -> int:
-    body = load_body(args.body)
-    region = load_region(args.region)
-    echo = _config_echo(args, body=args.body, region=args.region)
-    doc = classify(body, region, opts=_options(args)).to_dict()
-    doc["config_echo"] = echo
-    write_report(doc, args.report)
-    return _verdict_exit(doc["verdict"])
+def cmd_classify(args) -> ClassificationReport:
+    body, region = load_body(args.body), load_region(args.region)
+    return classify(body, region, opts=_options(args))
 
 
-def cmd_banach(args) -> int:
-    body = load_body(args.body)
-    region = load_region(args.region)
-    echo = _config_echo(args, body=args.body, region=args.region)
+def cmd_banach(args) -> ClassificationReport:
+    body, region = load_body(args.body), load_region(args.region)
     kw = {"tol": args.tol} if args.tol is not None else {}
     try:
-        with counting() as timings:
-            doc = banach_classify(body, region, opts=_options(args), **kw).to_dict()
+        return banach_classify(body, region, opts=_options(args), **kw)
     except HypothesisFailed as exc:
-        Xa, Xb = exc.pair
-        doc = {
-            "verdict": "HypothesisFailed",
-            "witness": {
-                "pair": [_frame_cols(Xa), _frame_cols(Xb)],
-                "residual": float(exc.residual),
-            },
-            "diagnostics": {},
-            "timings": timings,
-        }
-    doc["config_echo"] = echo
-    write_report(doc, args.report)
-    return _verdict_exit(doc["verdict"])
+        return ClassificationReport(
+            "HypothesisFailed", {"pair": exc.pair, "residual": exc.residual}, {}
+        )
 
 
-def cmd_contract(args) -> int:
-    body = load_body(args.body)
-    X = load_plane(args.plane)
+def cmd_contract(args) -> ClassificationReport:
+    body, X = load_body(args.body), load_plane(args.plane)
     tol = args.tol if args.tol is not None else DEFAULT_TOL
-    echo = _config_echo(
-        args, body=args.body, plane=args.plane, direction=args.direction or ""
-    )
-    with counting() as timings:
-        if args.direction:
-            Y = load_plane(args.direction)
-            cert = is_contracting(body, X, Y, tol=tol)
-            verdict = "Contracting" if cert.holds else "NotContracting"
-            witness = {
-                "direction": _frame_cols(Y),
-                "plane": _frame_cols(X),
-                "violation": float(cert.violation),
-            }
-        else:
-            res = find_contracting_direction(body, X, tol)
-            verdict = "Contracting" if res else "NotContracting"
-            witness = {
-                "best_violation": float(res.best_violation),
-                "directions": [_frame_cols(Y) for Y in res.directions],
-                "plane": _frame_cols(X),
-            }
-    doc = {
-        "verdict": verdict,
-        "witness": witness,
-        "diagnostics": {"tol": tol},
-        "timings": timings,
-        "config_echo": echo,
-    }
-    write_report(doc, args.report)
-    return 0 if verdict == "Contracting" else 2
+    if args.direction:
+        Y = load_plane(args.direction)
+        cert = is_contracting(body, X, Y, tol=tol)
+        verdict = "Contracting" if cert.holds else "NotContracting"
+        witness = {"direction": Y, "plane": X, "violation": cert.violation}
+    else:
+        res = find_contracting_direction(body, X, tol)
+        verdict = "Contracting" if res else "NotContracting"
+        witness = {
+            "best_violation": res.best_violation,
+            "directions": res.directions,
+            "plane": X,
+        }
+    return ClassificationReport(verdict, witness, {"tol": tol})
 
 
 def _svg_path(points, transform) -> str:
@@ -306,40 +256,29 @@ def render_section_svg(points, overlay=None) -> str:
     return "\n".join(lines) + "\n"
 
 
-def cmd_section(args) -> int:
-    body = load_body(args.body)
-    X = load_plane(args.plane)
+def cmd_section(args) -> ClassificationReport:
+    body, X = load_body(args.body), load_plane(args.plane)
     if X.dim != 2:
         raise CliError("section plots need a 2-dimensional plane")
-    echo = _config_echo(args, body=args.body, plane=args.plane)
-    with counting() as timings:
-        sample = section_samples(body, X, SVG_SEGMENTS)
-        form, resid = fit_section_quadric(body, X)
+    sample = section_samples(body, X, SVG_SEGMENTS)
+    form, resid = fit_section_quadric(body, X)
     overlay = None
     if form is not None:
         # boundary of {p.Cp <= 1} traced at the same angular resolution
         u = sample.points / np.linalg.norm(sample.points, axis=1)[:, None]
         g = np.sqrt(np.sum((u @ form.coeffs) * u, axis=1))
         overlay = u / g[:, None]
-    svg = render_section_svg(sample.points, overlay)
     out = args.svg or "section.svg"
     try:
-        Path(out).write_text(svg)
+        Path(out).write_text(render_section_svg(sample.points, overlay))
     except OSError as exc:
         raise CliError(f"{out}: {exc.strerror or exc}") from exc
-    doc = {
-        "verdict": "SectionPlotted",
-        "witness": {
-            "quadric": None if form is None else form.coeffs.tolist(),
-            "residual": float(resid),
-            "svg": str(out),
-        },
-        "diagnostics": {"segments": SVG_SEGMENTS},
-        "timings": timings,
-        "config_echo": echo,
+    witness = {
+        "quadric": None if form is None else form.coeffs,
+        "residual": resid,
+        "svg": out,
     }
-    write_report(doc, args.report)
-    return 0
+    return ClassificationReport("SectionPlotted", witness, {"segments": SVG_SEGMENTS})
 
 
 # --------------------------------------------------------------------- parser
@@ -379,7 +318,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("body")
     p.add_argument("plane")
-    p.add_argument("direction", nargs="?", default=None)
+    p.add_argument("direction", nargs="?", default="")
     p.set_defaults(func=cmd_contract)
 
     p = sub.add_parser("section", parents=[common], help="plot a planar section")
@@ -392,13 +331,21 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        with counting() as counts:
+            report = args.func(args)
+        report.counters = counts
+        doc = report.to_dict()
+        doc["config_echo"] = {
+            k: v for k, v in vars(args).items() if k not in ("func", "report", "svg")
+        }
+        write_report(doc, args.report)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except KkitError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
+    return 0 if report.verdict in POSITIVE else 2
 
 
 if __name__ == "__main__":

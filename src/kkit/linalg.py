@@ -17,7 +17,8 @@ from .errors import NonComplementary, OutOfChart
 
 # Frames are re-orthonormalized on construction to this accuracy.
 FRAME_TOL = 1e-12
-# Two subspaces of equal dimension are "the same" below this principal angle.
+# Two subspaces of equal dimension are "the same" below this principal angle,
+# and a vector lies in a subspace below this relative residual.
 EQUAL_TOL = 1e-10
 # Relative singular value cutoff for numerical rank decisions.
 RANK_RTOL = 1e-10
@@ -75,10 +76,10 @@ class Subspace:
     def dim(self) -> int:
         return self.frame.shape[1]
 
-    def contains(self, v, tol: float = EQUAL_TOL) -> bool:
+    def contains(self, v) -> bool:
         v = np.asarray(v, dtype=float)
         r = v - self.frame @ (self.frame.T @ v)
-        return np.linalg.norm(r) <= tol * max(1.0, np.linalg.norm(v))
+        return np.linalg.norm(r) <= EQUAL_TOL * max(1.0, np.linalg.norm(v))
 
     def orthogonal_complement(self):
         n, k = self.frame.shape

@@ -178,6 +178,28 @@ def test_reports_byte_identical(tmp_path):
     assert blobs[0] == blobs[1]
 
 
+def test_config_echo_names_each_command_inputs(tmp_path):
+    # the echo is the parsed command line without its output paths: each
+    # positional path as given, and an omitted direction as ""
+    box, xy, dz = (str(FIX / f) for f in ("box.json", "plane_xy.json", "direction_z.json"))
+    mixed, region_xy, region_mixed = (
+        str(FIX / f) for f in ("mixed.json", "region_xy.json", "region_mixed.json")
+    )
+    runs = [
+        (["classify", box, region_xy, "--grid", "2"], {"body": box, "region": region_xy}),
+        (["banach", mixed, region_mixed, "--grid", "2"], {"body": mixed, "region": region_mixed}),
+        (["contract", box, xy, dz], {"body": box, "plane": xy, "direction": dz}),
+        (["contract", box, xy], {"body": box, "plane": xy, "direction": ""}),
+        (["section", box, xy, "--svg", str(tmp_path / "box.svg")], {"body": box, "plane": xy}),
+    ]
+    for argv, paths in runs:
+        code, rep = run(tmp_path, *argv)
+        assert code in (0, 2), argv
+        grid = 2 if "--grid" in argv else None
+        common = {"command": argv[0], "grid": grid, "seed": 0, "tol": None}
+        assert rep["config_echo"] == {**common, **paths}, argv
+
+
 def test_region_transversal_field(tmp_path):
     region = tmp_path / "region.json"
     region.write_text(json.dumps({

@@ -82,8 +82,8 @@ def test_projector_is_idempotent_with_correct_range_and_kernel():
             p = project(X, Y, v)
         except NonComplementary:
             continue
-        assert X.contains(p, 1e-9)
-        assert Y.contains(v - p, 1e-9)
+        assert X.contains(p)
+        assert Y.contains(v - p)
         assert np.allclose(project(X, Y, p), p, atol=1e-9)
 
 
@@ -105,7 +105,7 @@ def test_meet_join_dimension_formula():
         assert M.dim + J.dim == X.dim + Y.dim
         for j in range(M.dim):
             v = M.frame[:, j]
-            assert X.contains(v, 1e-8) and Y.contains(v, 1e-8)
+            assert X.contains(v) and Y.contains(v)
 
 
 def test_meet_of_transverse_planes_in_r3_is_their_common_line():
