@@ -96,41 +96,67 @@ def quadratic_field(R: RTensor, p) -> np.ndarray:
 # ------------------------------------------------------- inscribed ellipsoid
 
 
+def _slacks(ell, M, c):
+    """Functionals as columns, a_i = 1 - ell_i . c, columns v_i = M ell_i and
+    s_i = a_i^2 - |v_i|^2.  With the m constraints on the last axis the
+    elementwise work runs along long rows even when k is 2 or 3."""
+    cols = np.ascontiguousarray(np.swapaxes(ell, -1, -2))
+    a = 1.0 - (c[..., None, :] @ cols)[..., 0, :]
+    V = M @ cols
+    return cols, a, V, a * a - np.sum(V * V, axis=-2)
+
+
+def _unpack(E, x):
+    """(M, c) of the coordinates x = (coordinates of M in the basis E, c)."""
+    p, k = E.shape[:2]
+    M = (x[..., :p] @ E.reshape(p, k * k)).reshape(x.shape[:-1] + (k, k))
+    return M, x[..., p:]
+
+
 def _barrier_value(ell, E, x, mu):
     """-log det M - mu sum_i log s_i at x = (coordinates of M in the basis E, c),
     with a_i = 1 - ell_i . c, v_i = M ell_i and s_i = a_i^2 - |v_i|^2; inf
-    unless M is positive definite and every a_i and s_i is positive."""
-    M, c = np.tensordot(x[: len(E)], E, 1), x[len(E) :]
-    a = 1.0 - ell @ c
-    s = a * a - np.sum((ell @ M) ** 2, axis=1)
+    unless M is positive definite and every a_i and s_i is positive.
+
+    Leading axes of ell (..., m, k), x (..., p + k) and mu (...) stack
+    problems, one value each.
+    """
+    M, c = _unpack(E, x)
+    _, a, _, s = _slacks(ell, M, c)
     w = np.linalg.eigvalsh(M)
-    if min(w.min(), a.min(), s.min()) <= 0.0:
-        return np.inf
-    return -np.sum(np.log(w)) - mu * np.sum(np.log(s))
+    ok = (w.min(axis=-1) > 0.0) & (a.min(axis=-1) > 0.0) & (s.min(axis=-1) > 0.0)
+    logs = np.log(np.where(ok[..., None], w, 1.0)).sum(axis=-1)
+    logs = logs + mu * np.log(np.where(ok[..., None], s, 1.0)).sum(axis=-1)
+    return np.where(ok, -logs, np.inf)
 
 
 def _barrier_grad_hess(ell, E, x, mu):
-    """Closed-form gradient and Hessian of _barrier_value at an interior x.
+    """Closed-form gradient and Hessian of _barrier_value at an interior x,
+    stacked like _barrier_value.
 
-    With B_i[:, a] = E_a ell_i and G_i = grad s_i = (-2 B_i^T v_i, -2 a_i ell_i):
-    g = -mu sum G_i / s_i, minus tr(M^-1 E_a) on the M block, and
-    H = mu sum G_i G_i^T / s_i^2, plus tr(M^-1 E_a M^-1 E_b) + mu sum (2 / s_i)
-    B_i^T B_i on the M block, minus mu sum (2 / s_i) ell_i ell_i^T on the c block.
+    With G_i = grad s_i = (-2 ell_i^T E_a v_i, -2 a_i ell_i) and S = sum_i
+    (2 mu / s_i) ell_i ell_i^T: g = -mu sum G_i / s_i, minus tr(M^-1 E_a) on
+    the M block, and H = mu sum G_i G_i^T / s_i^2, plus tr(M^-1 E_a M^-1 E_b)
+    + tr(E_a E_b S) on the M block, minus S on the c block.
     """
-    p = len(E)
-    M, c = np.tensordot(x[:p], E, 1), x[p:]
-    a = 1.0 - ell @ c
-    V = ell @ M
-    s = a * a - np.sum(V * V, axis=1)
-    B = ell @ E  # B[a, i] = E_a ell_i
-    G = np.hstack([-2.0 * np.einsum("aik,ik->ia", B, V), -2.0 * a[:, None] * ell])
-    T = np.linalg.solve(M, E)  # M^-1 E_a
-    g = -mu * (G.T @ (1.0 / s))
-    g[:p] -= np.trace(T, axis1=1, axis2=2)
-    H = (G.T * (mu / s**2)) @ G
-    Bw = B * (2.0 * mu / s)[:, None]
-    H[:p, :p] += np.einsum("akl,blk->ab", T, T) + Bw.reshape(p, -1) @ B.reshape(p, -1).T
-    H[p:, p:] -= (ell.T * (2.0 * mu / s)) @ ell
+    p, k = E.shape[:2]
+    Ef = E.reshape(p, k * k)
+    M, c = _unpack(E, x)
+    mu = np.asarray(mu)[..., None]
+    cols, a, V, s = _slacks(ell, M, c)
+    # ell_i^T E_a v_i pairs vec(E_a) with the outer product ell_i v_i^T
+    outer = (cols[..., :, None, :] * V[..., None, :, :]).reshape(V.shape[:-2] + (k * k, -1))
+    Gt = -2.0 * np.concatenate([Ef @ outer, a[..., None, :] * cols], axis=-2)  # columns G_i
+    g = -mu * (Gt @ (1.0 / s)[..., None])[..., 0]
+    H = (Gt * (mu / s**2)[..., None, :]) @ Gt.swapaxes(-1, -2)
+    S = (cols * (2.0 * mu / s)[..., None, :]) @ cols.swapaxes(-1, -2)
+    T = np.linalg.inv(M)[..., None, :, :] @ E  # M^-1 E_a
+    g[..., :p] -= np.trace(T, axis1=-2, axis2=-1)
+    # tr(A B) pairs vec(A) with vec(B^T)
+    flat = T.shape[:-2] + (k * k,)
+    H[..., :p, :p] += T.reshape(flat) @ T.swapaxes(-1, -2).reshape(flat).swapaxes(-1, -2)
+    H[..., :p, :p] += Ef @ (S[..., None, :, :] @ E).reshape(flat).swapaxes(-1, -2)
+    H[..., p:, p:] -= S
     return g, H
 
 
@@ -138,38 +164,57 @@ def max_inscribed_ellipsoid(functionals):
     """(M, c) of the maximal-volume ellipsoid {M u + c : |u| <= 1} inside
     {x : ell_i . x <= 1}, with M symmetric positive definite.
 
-    The constraints read |M ell_i| <= 1 - ell_i . c, second-order cones that
-    are affine in (M, c), so -log det M - mu sum_i log((1 - ell_i . c)^2 -
-    |M ell_i|^2) is self-concordant (Boyd & Vandenberghe, Convex
-    Optimization, sections 8.4.2 and 11.6).  Damped Newton follows its
-    minimizer in x = (upper-triangle coordinates of M, c) over MU_STAGES,
-    one closed-form gradient and Hessian (_barrier_grad_hess) and an Armijo
-    line search per step.  An intermediate stage only warm-starts the next,
-    so it ends once the squared Newton decrement of f / mu is at most 0.1;
-    every stage ends when the step vanishes.
+    functionals is one problem, (m, k), or a stack of them, (B, m, k), which
+    gives M of shape (B, k, k) and c of shape (B, k); every section counts
+    once in inscribed_solves.  The constraints read |M ell_i| <= 1 - ell_i .
+    c, second-order cones that are affine in (M, c), so -log det M - mu
+    sum_i log((1 - ell_i . c)^2 - |M ell_i|^2) is self-concordant (Boyd &
+    Vandenberghe, Convex Optimization, sections 8.4.2 and 11.6).  Damped
+    Newton follows its minimizer in x = (upper-triangle coordinates of M, c)
+    over MU_STAGES, one closed-form gradient and Hessian (_barrier_grad_hess)
+    and an Armijo line search per step.  An intermediate stage only
+    warm-starts the next, so it ends once the squared Newton decrement of
+    f / mu is at most 0.1; every stage ends when the step vanishes.  The
+    problems of a stack run in lockstep, each at its own stage, and a
+    problem leaves the batch when its last stage ends.
     """
-    tally("inscribed_solves")
     ell = np.asarray(functionals, dtype=float)
-    k = ell.shape[1]
+    stack = ell.reshape((-1,) + ell.shape[-2:])
+    tally("inscribed_solves", len(stack))
+    k = ell.shape[-1]
     i, j = np.triu_indices(k)
     p = len(i)
     E = np.zeros((p, k, k))
     E[np.arange(p), i, j] = E[np.arange(p), j, i] = 1.0
-    x = np.concatenate([(i == j) * (0.45 / np.linalg.norm(ell, axis=1).max()), np.zeros(k)])
-    for mu in MU_STAGES:
-        while True:
-            g, H = _barrier_grad_hess(ell, E, x, mu)
-            step = np.linalg.solve(H, -g)
-            if mu > MU_STAGES[-1] and -g @ step <= 0.1 * mu:
-                break
-            f = _barrier_value(ell, E, x, mu)
-            alpha = 1.0
-            while _barrier_value(ell, E, x + alpha * step, mu) > f + 0.25 * alpha * (g @ step):
-                alpha *= 0.5
-            x = x + alpha * step
-            if np.linalg.norm(alpha * step) <= 1e-15 * (1.0 + np.linalg.norm(x)):
-                break
-    return np.tensordot(x[:p], E, 1), x[p:]
+    x = np.zeros((len(stack), p + k))
+    x[:, :p] = (i == j) * (0.45 / np.linalg.norm(stack, axis=2).max(axis=1))[:, None]
+    stage = np.zeros(len(stack), dtype=int)
+    live = np.arange(len(stack))
+    while live.size:
+        L, X, mu = stack[live], x[live], MU_STAGES[stage[live]]
+        g, H = _barrier_grad_hess(L, E, X, mu)
+        step = np.linalg.solve(H, -g[:, :, None])[:, :, 0]
+        slope = np.sum(g * step, axis=1)
+        # an intermediate stage ends at a small Newton decrement, before stepping
+        ends = (mu > MU_STAGES[-1]) & (-slope <= 0.1 * mu)
+        # Armijo search on the rows that step, each evaluated until it passes
+        rows = np.flatnonzero(~ends)
+        f = _barrier_value(L[rows], E, X[rows], mu[rows])
+        alpha = np.ones(len(rows))
+        search = np.arange(len(rows))
+        while search.size:
+            t = rows[search]
+            trial = _barrier_value(L[t], E, X[t] + alpha[search, None] * step[t], mu[t])
+            search = search[trial > f[search] + 0.25 * alpha[search] * slope[t]]
+            alpha[search] *= 0.5
+        dx = alpha[:, None] * step[rows]
+        X[rows] += dx
+        x[live] = X
+        ends[rows] = np.linalg.norm(dx, axis=1) <= 1e-15 * (1.0 + np.linalg.norm(X[rows], axis=1))
+        stage[live[ends]] += 1
+        live = live[stage[live] < len(MU_STAGES)]
+    M, c = _unpack(E, x)
+    return M.reshape(ell.shape[:-2] + (k, k)), c.reshape(ell.shape[:-2] + (k,))
 
 
 # --------------------------------------------------------- radial signatures
@@ -222,45 +267,47 @@ def _match_planar(sec1, M1, c1, sec2, M2, c2):
     # reflection r1(-theta_i + j d) = r1[::-1][(i - j - 1) % SCAN_OFFSETS]
     coarse = {+1: scan(r1), -1: scan(r1[::-1])[::-1]}
 
-    def residuals(phis, flip):
-        """Residual of every candidate shift, in one radial evaluation."""
-        theta = flip * ang + np.asarray(phis)[:, None]
+    def residuals(phis, flips):
+        """Residual of every candidate shift and orientation, in one radial
+        evaluation."""
+        theta = flips[:, None] * ang + phis[:, None]
         pts = np.stack([np.cos(theta), np.sin(theta)], axis=-1).reshape(-1, 2)
         r = _radials(sec1, M1, c1, pts).reshape(len(theta), SCAN_OFFSETS)
         return np.abs(r - s2).max(axis=1)
 
-    def refine(j0, flip):
-        """Minimum of the residual within one grid step of shift j0.
-
-        The residual is flat wherever its worst mismatch sits on a circular
-        arc, and golden section started across such a plateau can stall
-        above the minimum; a sub-grid scan first picks the lowest basin.
-        """
-        step = 2.0 * np.pi / SCAN_OFFSETS
-        sub = ang[j0] + step * np.linspace(-1.0, 1.0, 2 * REFINE_SUB + 1)
-        phi0 = sub[int(np.argmin(residuals(sub, flip)))]
-        gr = (np.sqrt(5.0) - 1.0) / 2.0
-        a, b = phi0 - step / REFINE_SUB, phi0 + step / REFINE_SUB
-        x1 = b - gr * (b - a)
-        x2 = a + gr * (b - a)
-        f1, f2 = residuals([x1, x2], flip)
-        while b - a > REFINE_TOL:
-            if f1 <= f2:
-                b, x2, f2 = x2, x1, f1
-                x1 = b - gr * (b - a)
-                f1 = residuals([x1], flip)[0]
-            else:
-                a, x1, f1 = x1, x2, f2
-                x2 = a + gr * (b - a)
-                f2 = residuals([x2], flip)[0]
-        return (x1, float(f1), flip) if f1 <= f2 else (x2, float(f2), flip)
-
-    # symmetric sections tie many coarse shifts exactly, and refinement from
-    # one of them can stall; refining the best shift of each orientation and
-    # keeping the smaller residual makes the result insensitive to rounding
-    phi, res, flip = min(
-        (refine(int(np.argmin(coarse[f])), f) for f in (+1, -1)), key=lambda t: t[1]
-    )
+    # Refine the best coarse shift of each orientation and keep the smaller
+    # residual: symmetric sections tie many coarse shifts exactly, and
+    # refinement from one of them can stall.  The residual is flat wherever
+    # its worst mismatch sits on a circular arc, and golden section started
+    # across such a plateau can stall above the minimum, so a sub-grid scan
+    # within one grid step first picks the lowest basin.  The scans run one
+    # orientation at a time: a joint scan would double the largest radial
+    # batch, and with it the peak memory.
+    flips = np.array([1.0, -1.0])
+    step = 2.0 * np.pi / SCAN_OFFSETS
+    phi0 = np.empty(2)
+    for row, f in enumerate((+1, -1)):
+        sub = ang[np.argmin(coarse[f])] + step * np.linspace(-1.0, 1.0, 2 * REFINE_SUB + 1)
+        phi0[row] = sub[np.argmin(residuals(sub, np.full(len(sub), f)))]
+    gr = (np.sqrt(5.0) - 1.0) / 2.0
+    a, b = phi0 - step / REFINE_SUB, phi0 + step / REFINE_SUB
+    x1 = b - gr * (b - a)
+    x2 = a + gr * (b - a)
+    f1, f2 = residuals(np.concatenate([x1, x2]), np.tile(flips, 2)).reshape(2, 2)
+    # golden section on both orientations in lockstep: their intervals start
+    # equal and shrink alike, and each one stops at its own width
+    while (run := b - a > REFINE_TOL).any():
+        left = f1 <= f2
+        na, nb = np.where(left, a, x1), np.where(left, x2, b)
+        xn = np.where(left, nb - gr * (nb - na), na + gr * (nb - na))
+        fn = residuals(xn, flips)
+        new = (na, nb, np.where(left, xn, x2), np.where(left, fn, f2),
+               np.where(left, x1, xn), np.where(left, f1, fn))
+        old = (a, b, x1, f1, x2, f2)
+        a, b, x1, f1, x2, f2 = (np.where(run, n, o) for n, o in zip(new, old))
+    phis, res = np.where(f1 <= f2, x1, x2), np.minimum(f1, f2)
+    best = 1 if res[1] < res[0] else 0
+    phi, res, flip = float(phis[best]), float(res[best]), int(flips[best])
     # matched r1(flip theta + phi) = r2(theta): on normalized bodies the map
     # sends the direction at angle alpha to flip (alpha - phi)
     T = _rot(-flip * phi) @ np.diag([1.0, float(flip)])
@@ -300,23 +347,35 @@ def _match_spatial(sec1, M1, c1, sec2, M2, c2):
     return Lmap, res
 
 
+def _normalize(body: Body, planes, cache: dict):
+    """Fill cache[frame bytes] = (section, M, c) for every plane missing from it.
+
+    Keying on the frame bytes lets equal planes share one solve.  Each
+    missing plane is sampled once, in order of first appearance, and all of
+    them are normalized by one stacked max_inscribed_ellipsoid call.
+    """
+    todo = {}
+    for X in planes:
+        key = X.frame.tobytes()
+        if key not in cache:
+            todo.setdefault(key, X)
+    if not todo:
+        return
+    ells = [section_samples(body, X, 256).functionals for X in todo.values()]
+    M, c = max_inscribed_ellipsoid(np.stack(ells))
+    for (key, X), Mi, ci in zip(todo.items(), M, c):
+        cache[key] = (SectionBody(body, X), Mi, ci)
+
+
 def _section_match(body: Body, X1: Subspace, X2: Subspace, cache=None):
     """(map, residual, heuristic) between two sections in frame coordinates."""
     if X1.dim != X2.dim or X1.dim not in (2, 3):
         raise ValueError("sections must share dimension k in {2, 3}")
 
     cache = {} if cache is None else cache
-
-    def canon(X):
-        # keyed on the frame bytes, so equal planes share one solve
-        key = X.frame.tobytes()
-        if key not in cache:
-            M, c = max_inscribed_ellipsoid(section_samples(body, X, 256).functionals)
-            cache[key] = (SectionBody(body, X), M, c)
-        return cache[key]
-
-    sec1, M1, c1 = canon(X1)
-    sec2, M2, c2 = canon(X2)
+    _normalize(body, (X1, X2), cache)
+    sec1, M1, c1 = cache[X1.frame.tobytes()]
+    sec2, M2, c2 = cache[X2.frame.tobytes()]
     if X1.dim == 2:
         Lmap, res = _match_planar(sec1, M1, c1, sec2, M2, c2)
         return Lmap, res, False
@@ -432,7 +491,10 @@ def banach_classify(
     delegate the verdict to the contracting-direction classifier.
 
     Pairs checked: the chart base against every plane of a 3-per-axis grid,
-    plus 32 random pairs from the region.  Any pair beyond tol raises
+    plus 32 random pairs from the region.  All distinct planes of the pairs
+    are sampled and normalized (_normalize) in one stacked
+    max_inscribed_ellipsoid call before the first pair is matched.  Any pair
+    beyond tol raises
     HypothesisFailed carrying the worst pair; on success the report gains
     the equivalence diagnostics (including whether the 3D heuristic matcher
     was involved), and its counters cover the pair checks as well.
@@ -447,11 +509,13 @@ def banach_classify(
             (region.plane(region.sample(rng)[0]), region.plane(region.sample(rng)[0]))
         )
 
-    cache = {}
     worst_res = 0.0
     worst_fail = None
     heuristic = False
     with counting() as counts:
+        # every plane is known before the first pair: one stacked solve
+        cache = {}
+        _normalize(body, itertools.chain.from_iterable(pairs), cache)
         for Xa, Xb in pairs:
             _, res, heur = _section_match(body, Xa, Xb, cache=cache)
             heuristic = heuristic or heur

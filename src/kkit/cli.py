@@ -142,6 +142,11 @@ def load_region(path) -> GrassmannChart:
     if not isinstance(obj, dict) or "base" not in obj:
         raise CliError(f"{path}: region files need a 'base' frame")
     base = _subspace(obj["base"], f"{path}.base")
+    if not 2 <= base.dim <= base.ambient - 1:
+        raise CliError(
+            f"{path}.base: regions sweep k-planes with 2 <= k <= n - 1, "
+            f"got k = {base.dim} in R^{base.ambient}"
+        )
     hw = obj.get("halfwidths", 0.2)
     hw = np.asarray(hw, dtype=float) if isinstance(hw, list) else float(hw)
     kwargs = {}

@@ -1,7 +1,8 @@
 """Work counters, tallied in the functions that do the work.
 
-tally(key) adds to the innermost open counting() scope and does nothing when
-none is open; a scope that closes adds its counts to the enclosing one.
+tally(key, n) adds n (one call by default) to the innermost open counting()
+scope and does nothing when none is open; a scope that closes adds its counts
+to the enclosing one.
 """
 
 from contextlib import contextmanager
@@ -15,11 +16,12 @@ COUNTERS = (
 _scope = ContextVar("kkit_counts", default=None)
 
 
-def tally(key: str) -> None:
-    """Count one call under key in the innermost open scope."""
+def tally(key: str, n: int = 1) -> None:
+    """Count n units of work (one call by default) under key in the innermost
+    open scope."""
     counts = _scope.get()
     if counts is not None:
-        counts[key] += 1
+        counts[key] += n
 
 
 @contextmanager

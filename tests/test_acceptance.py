@@ -500,7 +500,9 @@ def test_timings_count_the_work(tmp_path, monkeypatch):
 
     def wrap(fn, key):
         def counted(*args, **kwargs):
-            calls[key] += 1
+            # a stacked inscribed-ellipsoid call solves one section per row
+            stacked = key == "inscribed_solves" and np.ndim(args[0]) == 3
+            calls[key] += len(args[0]) if stacked else 1
             # each search of classify's own sweep is one swept plane
             if key == "direction_searches" and sys._getframe(1).f_code.co_name == "_classify":
                 calls["planes_swept"] += 1

@@ -27,6 +27,7 @@ from kkit.banach import (
 from kkit.classifier import ClassifyOptions, classify
 from kkit.errors import HypothesisFailed
 from kkit.linalg import GrassmannChart, Subspace, random_subspace
+from kkit.tally import counting
 
 from conftest import random_spd
 
@@ -140,6 +141,56 @@ def test_inscribed_ellipsoid_thin_section(monkeypatch):
     assert np.linalg.slogdet(M)[1] >= -6.0761697
     assert (ell @ c + np.linalg.norm(ell @ M, axis=1)).max() <= 1.0 + 1e-9
     assert len(steps) <= 150
+
+
+def stack_size(functionals):
+    """Sections in one max_inscribed_ellipsoid input: (m, k) is a stack of one."""
+    return len(functionals) if np.ndim(functionals) == 3 else 1
+
+
+def assert_stack_matches_rows(ells):
+    """A stacked solve equals each row's own solve and stays strictly inside."""
+    M, c = max_inscribed_ellipsoid(ells)
+    assert M.shape == (len(ells), ells.shape[2], ells.shape[2]) and c.shape == ells.shape[::2]
+    for ell, Mb, cb in zip(ells, M, c):
+        Ms, cs = max_inscribed_ellipsoid(ell)
+        assert np.abs(Mb - Ms).max() <= 1e-12 * np.abs(Ms).max()
+        assert np.abs(cb - cs).max() <= 1e-12 * (np.abs(Ms).max() + np.abs(cs).max())
+        assert (ell @ cb + np.linalg.norm(ell @ Mb, axis=1)).max() < 1.0
+
+
+def test_inscribed_ellipsoid_stack_k2():
+    # rows that need very different step counts: the thin PBall section, an
+    # off-centre triangle and a disk
+    A = [[1.338, 0.935, 0.049], [2.002, 2.189, -0.633], [-0.378, -1.091, 0.722]]
+    X = Subspace.span([0.203, 0.632, 0.748], [0.858, -0.482, 0.174])
+    tri = Polytope([[2.0, 0.0], [0.0, 2.0], [-1.0, -1.0]])
+    ells = np.stack([
+        section_samples(PBall(4.485, A), X, 256).functionals,
+        section_samples(tri, FULL2, 256).functionals,
+        section_samples(Ellipsoid(np.eye(2)), FULL2, 256).functionals,
+    ])
+    assert_stack_matches_rows(ells)
+
+
+def test_inscribed_ellipsoid_stack_k3():
+    r = np.random.default_rng(5)
+    ells = np.stack([
+        section_samples(random_section_body(r, 4), random_subspace(r, 4, 3)).functionals
+        for _ in range(4)
+    ])
+    assert_stack_matches_rows(ells)
+
+
+def test_inscribed_solves_count_sections():
+    ells = np.stack([
+        section_samples(Ellipsoid(np.diag([1.0, 2.0 + i])), FULL2, 64).functionals
+        for i in range(3)
+    ])
+    with counting() as counts:
+        max_inscribed_ellipsoid(ells)
+        max_inscribed_ellipsoid(ells[0])
+    assert counts["inscribed_solves"] == 4
 
 
 def random_section_body(r, n):
@@ -498,22 +549,25 @@ def test_planar_match_is_rounding_stable(monkeypatch):
 
 def test_section_match_cache_keys_on_plane_bytes(monkeypatch):
     # an equal plane built as a new object reuses the cached solve, as the
-    # zero-coordinate chart plane does for the chart base
+    # zero-coordinate chart plane does for the chart base; solves count
+    # sections, so a stacked call adds its stack size
     solves = []
     solve = banach_module.max_inscribed_ellipsoid
     monkeypatch.setattr(
-        banach_module, "max_inscribed_ellipsoid", lambda L: solves.append(1) or solve(L)
+        banach_module,
+        "max_inscribed_ellipsoid",
+        lambda L: solves.append(stack_size(L)) or solve(L),
     )
     body = Ellipsoid(np.diag([1.0, 2.0, 3.0]))
     region = GrassmannChart(XY, 0.35)
     X = Subspace.span([1.0, 0.2, 0.0], [0.0, 1.0, 0.3])
     cache = {}
     _section_match(body, region.base, X, cache=cache)
-    assert len(solves) == 2
+    assert sum(solves) == 2
     rebuilt = Subspace.span([1.0, 0.2, 0.0], [0.0, 1.0, 0.3])
     assert rebuilt is not X
     _section_match(body, region.plane(np.zeros((1, 2))), rebuilt, cache=cache)
-    assert len(solves) == 2
+    assert sum(solves) == 2
     assert len(cache) == 2
 
 

@@ -232,6 +232,13 @@ def test_error_exits(tmp_path, capsys):
     assert main(["classify", str(FIX / "box.json"), str(noframe)]) == 1
     capsys.readouterr()
 
+    # a region sweeps k-planes with 2 <= k <= n - 1: a line is refused
+    line = tmp_path / "line.json"
+    line.write_text('{"base": [[1, 0, 0]], "halfwidths": 0.2}')
+    assert main(["classify", str(FIX / "box.json"), str(line)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "k = 1" in err
+
     # section plots need a plane, not a line
     assert main(["section", str(FIX / "box.json"), str(FIX / "direction_z.json")]) == 1
     capsys.readouterr()
