@@ -15,6 +15,7 @@ import numpy as np
 from .bodies import Body, SectionBody, section_samples
 from .contracting import (
     DEFAULT_TOL,
+    certify_planes,
     cylinder_contains,
     find_contracting_direction,
     is_contracting,
@@ -520,28 +521,34 @@ def _classify(body, region, opts):
 
     A = form.ambient_coeffs if form is not None and psd else None
 
-    # (a) direction sweep, warm-started from the form prediction when one
-    # exists and from the previous plane's direction otherwise; multiplicity
-    # is only counted at the base plane of a cold sweep (with a verified
-    # form the direction is unique anyway)
-    directions = []
-    warm = []
+    # (a) direction sweep.  A verified form's directions are certified on
+    # all planes in one stacked call; a plane without a certificate searches,
+    # warm-started from its form direction and the previous planes'
+    # directions.  Multiplicity is only counted at the base plane of a cold
+    # sweep (with a verified form the direction is unique anyway)
+    form_dirs = [_form_direction(A, X) for X in planes] if A is not None else []
+    held = certify_planes(body, planes, form_dirs, opts.tol) if form_dirs else [None] * len(planes)
+    directions, warm = [], []
     for i, X in enumerate(planes):
         tally("planes_swept")
-        lines = ([_form_direction(A, X)] if A is not None else []) + warm[:2]
-        res = find_contracting_direction(
-            body, X, opts.tol, warm=lines, first_only=(i > 0 or A is not None)
-        )
-        if not res:
-            return ClassificationReport(
-                "NonKakutani",
-                {"witness_plane": X.frame, "violation": res.best_violation},
-                {**diagnostics, "failed_coords": coords[i].tolist()},
+        if held[i] is not None and held[i].holds:
+            found = [held[i]]
+        else:
+            res = find_contracting_direction(
+                body, X, opts.tol, warm=form_dirs[i : i + 1] + warm[:2],
+                first_only=(i > 0 or A is not None),
             )
-        directions.append(res.found[0].direction)
+            if not res:
+                return ClassificationReport(
+                    "NonKakutani",
+                    {"witness_plane": X.frame, "violation": res.best_violation},
+                    {**diagnostics, "failed_coords": coords[i].tolist()},
+                )
+            found = res.found
+        directions.append(found[0].direction)
         if i == 0:
-            diagnostics["base_multiplicity"] = len(res.found)
-        warm = [res.found[0].direction] + warm[:1]
+            diagnostics["base_multiplicity"] = len(found)
+        warm = [found[0].direction] + warm[:1]
 
     if A is not None:
         rank = form.rank()

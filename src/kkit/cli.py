@@ -198,6 +198,8 @@ def cmd_classify(args) -> ClassificationReport:
 
 def cmd_banach(args) -> ClassificationReport:
     body, region = load_body(args.body), load_region(args.region)
+    if region.base.dim not in (2, 3):
+        raise CliError(f"{args.region}.base: banach needs k = 2 or 3, got k = {region.base.dim}")
     kw = {"tol": args.tol} if args.tol is not None else {}
     try:
         return banach_classify(body, region, opts=_options(args), **kw)

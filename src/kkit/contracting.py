@@ -4,8 +4,9 @@ A plane X is contracting with direction Y when the oblique projection onto X
 along Y does not increase the gauge.  For polytopes the test is exact via the
 vertex images; for everything else the violation is maximized over a dense
 deterministic boundary sample and refined by local search from the strongest
-sample points.  Directions are searched on a GrassmannChart of (n-k)-planes
-over the orthogonal complement of X, whose graph coordinates run along X.
+sample points, in one lockstep search over all pairs of a certify_planes
+call.  Directions are searched on a GrassmannChart of (n-k)-planes over the
+orthogonal complement of X, whose graph coordinates run along X.
 """
 
 from dataclasses import dataclass
@@ -66,52 +67,60 @@ class ContractionCertificate:
 def _boundary_sample(body: Body, dirs):
     """Directions scaled onto the boundary, with their gauges (0 when flat)."""
     g = body.gauge_many(dirs)
-    scale = np.where(g > _FLAT_TOL, g, 1.0)
-    return dirs / scale[:, None], np.where(g > _FLAT_TOL, 1.0, 0.0)
+    bounded = g > _FLAT_TOL
+    return dirs / np.where(bounded, g, 1.0)[:, None], bounded.astype(float)
 
 
-def _refine_violation(body: Body, P, seeds, start_val: float):
+def _refine_violation(body: Body, P, seeds, start):
     """Pattern search on the direction sphere from the strongest samples,
-    starting at step REFINE_STEP."""
-    n = body.dim
-    pts = np.array(seeds, dtype=float)
-    best = start_val
+    starting at step REFINE_STEP, for projectors (B, n, n) with their seeds
+    (B, S, n) and sampled violations (B,): violations (B,), worst (B, n).
+    The rows run in lockstep, each with its own step and hit count, and each
+    leaves the batch once its step falls to 1e-7."""
+    nb, S, n = seeds.shape
+    pts = seeds.copy()
 
     def evaluate(U):
-        B, bg = _boundary_sample(body, U)
-        return body.gauge_many(B @ P.T) - bg
+        B, bg = _boundary_sample(body, U.reshape(-1, n))
+        proj = B.reshape(len(U), -1, n) @ P.transpose(0, 2, 1)
+        return (body.gauge_many(proj.reshape(-1, n)) - bg).reshape(len(U), -1, S)
 
-    vals = evaluate(pts)
-    cols = np.arange(len(pts))
-    # the 2n signed coordinate moves: rows +e_0, -e_0, +e_1, -e_1, ...
-    moves = np.kron(np.eye(n), [[1.0], [-1.0]])
-    step = REFINE_STEP
-    hits = 0
-    while step > 1e-7:
-        # all 2n moves for every seed, one batched evaluation; flat is a view,
-        # so normalizing it normalizes cand
-        cand = pts[None] + (step * moves)[:, None]
+    vals = evaluate(pts)[:, 0]
+    # each row's 2n signed coordinate moves +e_0, -e_0, +e_1, ... at its step
+    moves = np.kron(np.eye(n), [[REFINE_STEP], [-REFINE_STEP]])[None, :, None].repeat(nb, 0)
+    hits = np.zeros(nb, dtype=int)
+    # the live rows, in their original order; ids maps them back
+    ids, out_pts, out_vals = np.arange(nb), pts.copy(), vals.copy()
+    while len(ids):
+        # all 2n moves for every seed of every live row, one batched
+        # evaluation; flat is a view, so normalizing it normalizes cand
+        cand = pts[:, None] + moves
         flat = cand.reshape(-1, n)
-        nrm = np.sqrt(np.sum(flat * flat, axis=1))
+        nrm = np.sqrt((flat * flat).sum(axis=1))
         flat /= np.where(nrm > 0, nrm, 1.0)[:, None]
-        cv = evaluate(flat).reshape(2 * n, len(pts))
-        pick = np.argmax(cv, axis=0)
-        best_cv = cv[pick, cols]
+        cv = evaluate(cand)
+        pick = cv.argmax(axis=1)
+        best_cv = cv.max(axis=1)
         mask = best_cv > vals + 1e-18
         if mask.any():
-            pts[mask] = cand[pick, cols][mask]
-            vals[mask] = best_cv[mask]
+            row, seed = mask.nonzero()
+            pts[row, seed] = cand[row, pick[row, seed], seed]
+            vals[row, seed] = best_cv[row, seed]
         # maxima can sit on a whole submanifold; sliding along the ridge
         # never changes the value, so cap the stay at each step level
-        if not mask.any() or hits >= 3:
-            step *= 0.5
-            hits = 0
-        else:
-            hits += 1
-    i = int(np.argmax(vals))
-    if vals[i] >= best:
-        return float(vals[i]), pts[i]
-    return best, np.array(seeds, dtype=float)[0]
+        stay = mask.any(axis=1) > (hits >= 3)
+        hits = (hits + 1) * stay
+        if stay.all():
+            continue
+        moves[~stay] *= 0.5
+        live = moves[:, 0, 0, 0] > 1e-7
+        if not live.all():
+            out_pts[ids[~live]], out_vals[ids[~live]] = pts[~live], vals[~live]
+            ids, pts, vals, moves, hits, P = (a[live] for a in (ids, pts, vals, moves, hits, P))
+    rows, i = np.arange(nb), np.argmax(out_vals, axis=1)
+    top = out_vals[rows, i] >= start
+    worst = np.where(top[:, None], out_pts[rows, i], seeds[:, 0])
+    return np.where(top, out_vals[rows, i], start), worst
 
 
 def _test_points(body: Body, dirs):
@@ -122,24 +131,28 @@ def _test_points(body: Body, dirs):
     return _boundary_sample(body, dirs)
 
 
-def _certify(body: Body, X: Subspace, Y: Subspace, dirs, tol: float):
-    """Largest gauge increase under projection onto X along Y over the test
-    points of dirs; sampled bodies refine their strongest points."""
-    P = projector(X, Y)
+def _certify(body: Body, pairs, dirs, tol: float):
+    """Certificates for (X, Y, P) triples, P the projector onto X along Y:
+    the largest gauge increase over the test points of dirs, sampled once.
+    Sampled bodies refine the strongest points of all their pairs in one
+    lockstep search."""
     pts, base = _test_points(body, dirs)
-    v = body.gauge_many(pts @ P.T) - base
-    if isinstance(body, Polytope):
-        i = int(np.argmax(v))
-        viol = float(v[i])
-        return ContractionCertificate(X, Y, viol, viol <= tol, pts[i])
-    order = np.argsort(v)[::-1]
-    viol = float(v[order[0]])
-    # a catastrophic sampled violation already decides the certificate
-    if viol > max(100.0 * tol, 0.1):
-        return ContractionCertificate(X, Y, viol, False, pts[order[0]])
-    seeds = pts[order[:REFINE_TOP]]
-    viol, worst = _refine_violation(body, P, seeds, viol)
-    return ContractionCertificate(X, Y, viol, viol <= tol, worst)
+    certs, todo = [], []
+    for X, Y, P in pairs:
+        v = body.gauge_many(pts @ P.T) - base
+        order = np.argsort(v)[::-1]
+        viol = float(v[order[0]])
+        certs.append(ContractionCertificate(X, Y, viol, viol <= tol, pts[order[0]]))
+        # polytope vertices are exact, and a catastrophic sampled violation
+        # already decides the certificate
+        if not isinstance(body, Polytope) and viol <= max(100.0 * tol, 0.1):
+            todo.append((certs[-1], P, pts[order[:REFINE_TOP]], viol))
+    if todo:
+        pending, Ps, seeds, start = zip(*todo)
+        viols, worst = _refine_violation(body, *map(np.array, (Ps, seeds, start)))
+        for cert, viol, w in zip(pending, viols.tolist(), worst):
+            cert.violation, cert.holds, cert.worst = viol, viol <= tol, w
+    return certs
 
 
 def is_contracting(
@@ -156,7 +169,24 @@ def is_contracting(
     the sample differs.
     """
     tally("certificates")
-    return _certify(body, X, Y, sphere_directions(body.dim, CERT_SAMPLES), tol)
+    dirs = sphere_directions(body.dim, CERT_SAMPLES)
+    return _certify(body, [(X, Y, projector(X, Y))], dirs, tol)[0]
+
+
+def certify_planes(body: Body, planes, directions, tol: float = DEFAULT_TOL):
+    """is_contracting for each (plane, direction) pair, bit for bit, or None
+    for a pair that is not complementary: one boundary sample and one
+    lockstep refinement serve all pairs.  Not counted under certificates; a
+    sweep counts these planes as planes_swept."""
+    pairs = {}
+    for i, (X, Y) in enumerate(zip(planes, directions)):
+        try:
+            pairs[i] = (X, Y, projector(X, Y))
+        except NonComplementary:
+            pass
+    dirs = sphere_directions(body.dim, CERT_SAMPLES)
+    certs = dict(zip(pairs, _certify(body, pairs.values(), dirs, tol)))
+    return [certs.get(i) for i in range(len(planes))]
 
 
 def cylinder_contains(
@@ -173,7 +203,7 @@ def cylinder_contains(
     characterisations can be compared against each other numerically.
     """
     dirs = sphere_directions(body.dim, CERT_SAMPLES) @ _fixed_rotation(body.dim).T
-    return _certify(body, X, Y, dirs, tol).holds
+    return _certify(body, [(X, Y, projector(X, Y))], dirs, tol)[0].holds
 
 
 def _fixed_rotation(n: int):

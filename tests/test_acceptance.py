@@ -495,17 +495,33 @@ def test_timings_count_the_work(tmp_path, monkeypatch):
         banach.max_inscribed_ellipsoid: "inscribed_solves",
         quadform.fit_section_quadric: "quadric_fits",
         bodies.section_samples: "sections_sampled",
+        contracting.certify_planes: None,
     }
     calls = {}
+    # planes of classify's own sweep, held so that identity stays unique
+    swept = []
+    sweep_searches = []
+
+    def visit(planes):
+        for X in planes:
+            if not any(X is Y for Y in swept):
+                swept.append(X)
+                calls["planes_swept"] += 1
 
     def wrap(fn, key):
         def counted(*args, **kwargs):
             # a stacked inscribed-ellipsoid call solves one section per row
             stacked = key == "inscribed_solves" and np.ndim(args[0]) == 3
-            calls[key] += len(args[0]) if stacked else 1
-            # each search of classify's own sweep is one swept plane
-            if key == "direction_searches" and sys._getframe(1).f_code.co_name == "_classify":
-                calls["planes_swept"] += 1
+            if key is not None:
+                calls[key] += len(args[0]) if stacked else 1
+            # the sweep visits the planes it certifies in one stacked call
+            # and the planes it searches, each once
+            if sys._getframe(1).f_code.co_name == "_classify":
+                if key is None:
+                    visit(args[1])
+                elif key == "direction_searches":
+                    sweep_searches.append(args[1])
+                    visit(args[1:2])
             return fn(*args, **kwargs)
 
         return counted
@@ -522,6 +538,7 @@ def test_timings_count_the_work(tmp_path, monkeypatch):
         if cmd[0] in ("classify", "banach"):
             cmd += ["--grid", "3"]
         calls.update(dict.fromkeys(COUNTERS, 0))
+        swept.clear()
         main(cmd + ["--report", str(report), "--svg", str(tmp_path / "out.svg")])
         assert json.loads(report.read_text())["timings"] == calls, argv
 
@@ -530,6 +547,10 @@ def test_timings_count_the_work(tmp_path, monkeypatch):
     Q = random_spd(r, 4, cond=10.0)
     region = GrassmannChart(random_subspace(r, 4, 2), 0.15)
     calls.update(dict.fromkeys(COUNTERS, 0))
+    swept.clear()
+    sweep_searches.clear()
     rep = classify(Ellipsoid(Q), region, opts=ClassifyOptions(grid_per_axis=2))
     assert rep.diagnostics["restriction_verdicts"] == ["Ellipsoid", "Ellipsoid"]
     assert rep.counters == calls and calls["planes_swept"] > 16
+    # a verified form certifies every plane of every sweep without a search
+    assert sweep_searches == []

@@ -239,6 +239,15 @@ def test_error_exits(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1 and "k = 1" in err
 
+    # banach compares sections of 2- or 3-planes: 4-planes in R^5 are refused
+    ball5 = tmp_path / "ball5.json"
+    ball5.write_text(json.dumps({"type": "ellipsoid", "Q": np.eye(5).tolist()}))
+    four = tmp_path / "four.json"
+    four.write_text(json.dumps({"base": np.eye(5)[:4].tolist(), "halfwidths": 0.1}))
+    assert main(["banach", str(ball5), str(four)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "k = 4" in err
+
     # section plots need a plane, not a line
     assert main(["section", str(FIX / "box.json"), str(FIX / "direction_z.json")]) == 1
     capsys.readouterr()

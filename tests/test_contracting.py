@@ -2,13 +2,15 @@ import numpy as np
 import pytest
 
 import kkit.contracting as contracting_module
-from kkit.bodies import Cylinder, Ellipsoid, Intersection, PBall, Polytope
+from kkit.bodies import Cylinder, Ellipsoid, Intersection, LinearImage, PBall, Polytope
 from kkit.contracting import (
+    certify_planes,
     cylinder_contains,
     find_contracting_direction,
     is_contracting,
     shared_generatrix_cylinder,
 )
+from kkit.errors import NonComplementary
 from kkit.linalg import Subspace, projector, sphere_directions, subspace_angle
 
 from conftest import disk_cylinder, random_polytope, random_spd, rng
@@ -306,8 +308,8 @@ def _cylinder_contains_by_own_sampler(body, X, Y, tol=contracting_module.DEFAULT
     if flat.size:
         worst = max(worst, float(np.max(body.gauge_many(flat @ P.T))))
     seeds = pts[np.argsort(body.gauge_many(pts @ P.T))[::-1][: contracting_module.REFINE_TOP]]
-    refined, _ = contracting_module._refine_violation(body, P, seeds, worst)
-    return max(worst, refined) <= tol
+    refined, _ = contracting_module._refine_violation(body, P[None], seeds[None], np.array([worst]))
+    return max(worst, refined[0]) <= tol
 
 
 def test_cylinder_contains_matches_its_own_sampler(box3):
@@ -383,15 +385,75 @@ def test_refine_violation_is_bit_identical_to_the_coordinate_loop():
     bodies.append(PBall(3.5, r.normal(size=(3, 3)) + 2.0 * np.eye(3)))
     bodies.append(Intersection([Ellipsoid(np.eye(3) / 1.6), random_polytope(r, 3, 12)]))
     for body in bodies:
+        # three pairs per body, refined as one stack: each row must match its
+        # own serial search, whatever the other rows do
         n = body.dim
-        X = Subspace(r.normal(size=(n, 2)))
-        Y = Subspace(X.orthogonal_complement().frame + 0.05 * r.normal(size=(n, n - 2)))
-        P = projector(X, Y)
-        pts, base = contracting_module._boundary_sample(body, sphere_directions(n, 512))
-        v = body.gauge_many(pts @ P.T) - base
-        order = np.argsort(v)[::-1]
-        seeds = pts[order[: contracting_module.REFINE_TOP]]
-        want = _refine_by_coordinate_loop(body, P, seeds, float(v[order[0]]))
-        got = contracting_module._refine_violation(body, P, seeds, float(v[order[0]]))
-        assert got[0] == want[0]
-        assert got[1].tobytes() == want[1].tobytes()
+        Ps, seeds, start, want = [], [], [], []
+        for _ in range(3):
+            X = Subspace(r.normal(size=(n, 2)))
+            Y = Subspace(X.orthogonal_complement().frame + 0.05 * r.normal(size=(n, n - 2)))
+            P = projector(X, Y)
+            pts, base = contracting_module._boundary_sample(body, sphere_directions(n, 512))
+            v = body.gauge_many(pts @ P.T) - base
+            order = np.argsort(v)[::-1]
+            Ps.append(P)
+            seeds.append(pts[order[: contracting_module.REFINE_TOP]])
+            start.append(float(v[order[0]]))
+            want.append(_refine_by_coordinate_loop(body, P, seeds[-1], start[-1]))
+        got = contracting_module._refine_violation(
+            body, np.array(Ps), np.array(seeds), np.array(start)
+        )
+        for j, (viol, worst) in enumerate(want):
+            assert got[0][j] == viol
+            assert got[1][j].tobytes() == worst.tobytes()
+
+
+def test_certify_planes_matches_is_contracting_bit_for_bit(box3):
+    r = rng(33)
+    Q = random_spd(r, 3, cond=20.0)
+    A = r.normal(size=(3, 3)) + 2.0 * np.eye(3)
+    tilted = Subspace.span([1.0, 0.0, 0.3], [0.0, 1.0, -0.2])
+    overtilted = Subspace.span([1.0, 0.0, -1.5], [0.0, 1.0, 0.0])
+    octa = Polytope(np.vstack([np.eye(3), -np.eye(3)]))
+    ex = np.array([[1.0], [0.0], [0.0]])
+    # exact pairs, pairs nudged into a marginal failure, a catastrophic
+    # polytope pair and pairs that are not complementary
+    cases = [
+        (
+            Ellipsoid(Q),
+            [XY, tilted, XY, XY],
+            [
+                q_complement(Q, XY),
+                q_complement(Q, tilted),
+                Subspace(q_complement(Q, XY).frame + 0.01 * ex),
+                Subspace.span([1.0, 0.0, 0.0]),
+            ],
+        ),
+        (
+            PBall(3.0, A),
+            [Subspace(A[:, :2]), Subspace(A[:, :2]), XY],
+            [Subspace(A[:, 2:]), Subspace(A[:, 2:] + 0.05 * ex), XY],
+        ),
+        (LinearImage(A, PBall(3.0, np.eye(3))), [Subspace(A[:, :2]), XY], [Subspace(A[:, 2:]), Z]),
+        (Intersection([Ellipsoid(np.diag([1.0, 2.0, 3.0])), box3]), [XY, tilted], [Z, Z]),
+        (octa, [XY, overtilted, XY], [Z, Z, Subspace.span([0.5, 0.3, 1.0])]),
+    ]
+    kinds = set()
+    for body, planes, dirs in cases:
+        got = certify_planes(body, planes, dirs)
+        assert len(got) == len(planes)
+        for X, Y, cert in zip(planes, dirs, got):
+            try:
+                want = is_contracting(body, X, Y)
+            except NonComplementary:
+                assert cert is None
+                kinds.add("not complementary")
+                continue
+            assert cert.violation == want.violation and cert.holds == want.holds
+            assert cert.worst.tobytes() == want.worst.tobytes()
+            assert cert.plane is X and cert.direction is Y
+            if want.holds:
+                kinds.add("holds")
+            else:
+                kinds.add("catastrophic" if want.violation > 0.1 else "marginal")
+    assert kinds == {"holds", "marginal", "catastrophic", "not complementary"}
