@@ -6,15 +6,16 @@ vertex images; for everything else the violation is maximized over a dense
 deterministic boundary sample and refined by local search from the strongest
 sample points, in one lockstep search over all pairs of a certify_planes
 call.  Directions are searched on a GrassmannChart of (n-k)-planes over the
-orthogonal complement of X, whose graph coordinates run along X.
+orthogonal complement of X, whose graph coordinates run along X; the
+projector is affine in those coordinates, so the search is one convex solve.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial.distance import cdist
+from scipy.optimize import linprog
 
-from .bodies import Body, Cylinder, Polytope, SectionBody, section_samples
+from .bodies import Body, Cylinder, Polytope, SectionBody
 from .errors import NonComplementary
 from .linalg import (
     GrassmannChart,
@@ -37,20 +38,24 @@ _FLAT_TOL = 1e-9
 DEDUP_ANGLE = 1e-4
 # Strongest certificate samples refined by pattern search.
 REFINE_TOP = 8
-# Half-width of the multistart box in graph coordinates.
+# Half-width of the chart box the direction search runs in.
 SEARCH_SPAN = 1.5
-# Cold multistart: number of starts and the descent's iteration cap.
-STARTS = 64
-MAX_ITER = 200
 # Pattern-search step of the certificate refinement.  It need only cover the
 # sample spacing the seeds came from; the certificate sampler is dense enough
 # that 0.05 reaches the true argmax.
 REFINE_STEP = 0.05
 # Directions per ring of the plane-hugging layers.
 LAYER_RING = 32
-# Re-descent after a marginal certificate failure: first step and iteration cap.
-POLISH_STEP = 0.02
-POLISH_ITERS = 80
+# Level bundle solve of the direction search: cuts per evaluated point, the
+# level's fraction of the gap, the stall guard, and the relative gap closed.
+CUT_POINTS = 4
+LEVEL = 0.3
+MAX_ROUNDS = 300
+GAP = 1e-4
+# Slack as a fraction of tol: the absolute gap closed, and the near-argmin
+# set whose extent (BISECT_STEPS halvings) counts distinct directions.
+NEAR = 1e-3
+BISECT_STEPS = 30
 
 
 @dataclass
@@ -214,11 +219,13 @@ def _fixed_rotation(n: int):
 
 @dataclass
 class DirectionSearchResult:
-    """Certified directions (deduped) plus the best violation seen overall."""
+    """Certified directions (deduped), the best violation seen, and the
+    solve's lower bound for every complement in the box (-inf if none ran)."""
 
     plane: Subspace
     found: list
     best_violation: float
+    lower_bound: float = -np.inf
 
     @property
     def directions(self):
@@ -229,7 +236,7 @@ class DirectionSearchResult:
 
 
 def _direction_from_coords(X: Subspace, Y0: Subspace, M):
-    """The chart's plane at M without its box check: descent is unconstrained."""
+    """The chart's plane at M without its box check."""
     return Subspace(Y0.frame + X.frame @ M)
 
 
@@ -248,79 +255,109 @@ def _plane_layers(X: Subspace):
     return (U[None] + tilts.reshape(-1, 1, n)).reshape(-1, n)
 
 
-def _batch_violation(body: Body, X: Subspace, Y0: Subspace, Ms, sample):
-    """Coarse violation for a batch of direction coordinates (B, k, n-k) over
-    sample = _test_points(body, dirs).
-
-    Y0 is orthonormal and orthogonal to X, so the projector onto X along
-    span(Y0 + X M) is X (X^T - M Y0^T) in closed form.
-    """
+def _violations(body: Body, X: Subspace, Y0: Subspace, Ms, sample):
+    """Gauge increase (B, N) of the test points of sample = _test_points(...)
+    under the projector of each direction coordinate of Ms (B, k, n-k):
+    X (X^T - M Y0^T) onto X along span(Y0 + X M), as Y0 is orthonormal and
+    orthogonal to X."""
     test, base = sample
     P = X.frame @ (X.frame.T - Ms @ Y0.frame.T)
     proj = (test @ P.transpose(0, 2, 1)).reshape(-1, X.ambient)
-    vals = body.gauge_many(proj).reshape(len(Ms), len(test)) - base[None, :]
-    return vals.max(axis=1)
+    return body.gauge_many(proj).reshape(len(Ms), len(test)) - base[None, :]
 
 
-def _descend(body, X, Y0, Ms, dirs, step0, max_iter):
-    """Batched coordinate descent of the sampled violation over graph coords."""
-    k, nk = Ms.shape[1], Ms.shape[2]
+def _cuts(body: Body, X: Subspace, Y0: Subspace, Ms, sample, V):
+    """Cuts (w, c) from the CUT_POINTS worst test points at each M of Ms,
+    V = _violations there: c - w . M'.ravel() <= the sampled violation at
+    every M', with equality at M.  P_M p = X (a - M b) is affine in M, and
+    a support functional l at P_M p gives g(P_M' p) >= l . X (a - M' b).
+    """
+    test, base = sample
+    top = np.argsort(V, axis=1)[:, -CUT_POINTS:]
+    a, b = test[top] @ X.frame, test[top] @ Y0.frame
+    q = ((a - b @ Ms.transpose(0, 2, 1)) @ X.frame.T).reshape(-1, X.ambient)
+    g = (np.take_along_axis(V, top, axis=1) + base[top]).reshape(-1)
+    on = g > _FLAT_TOL
+    L = np.zeros_like(q)
+    L[on] = body.support_many(q[on] / g[on, None])
+    u, b = L @ X.frame, b.reshape(len(q), -1)
+    w = (u[:, :, None] * b[:, None, :]).reshape(len(q), -1)
+    return w, np.einsum("ij,ij->i", u, a.reshape(len(q), -1)) - base[top].reshape(-1)
+
+
+def _lp(cost, A, b, bounds):
+    """HiGHS solution of min cost . x over A x <= b within bounds, or None;
+    its default feasibility tolerance, 1e-7, is coarser than the gaps closed."""
+    tight = {"primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10}
+    res = linprog(cost, A_ub=A, b_ub=b, bounds=bounds, method="highs", options=tight)
+    return res.x if res.status == 0 else None
+
+
+def _solve(body: Body, X: Subspace, Y0: Subspace, M, dirs, tol):
+    """Level bundle minimization of the sampled violation over the chart box
+    from M (Lemarechal, Nemirovskii & Nesterov, Math. Programming 69, 1995):
+    (best certificate, its coordinates, final sample, lower bound lb).
+
+    Each round cuts at the new points, takes lb from the Kelley master LP and
+    moves to the l-infinity projection of the best point onto the model's
+    level set lb + LEVEL (ub - lb).  Once the gap closes the best point is
+    certified; a failure adds its worst point to the sample and resumes,
+    until the certificate meets lb or its point no longer moves lb.
+    """
+    shape, d = M.shape, M.size
     sample = _test_points(body, dirs)
-    vals = _batch_violation(body, X, Y0, Ms, sample)
-    step = step0
-    it = 0
-    hits = 0
-    act = np.arange(len(vals))
-    while step > 1e-10 and it < max_iter:
-        improved = False
-        for idx in np.ndindex(k, nk):
-            for s in (step, -step):
-                cand = Ms[act].copy()
-                cand[(slice(None),) + idx] += s
-                cv = _batch_violation(body, X, Y0, cand, sample)
-                mask = cv < vals[act] - 1e-18
-                rows = act[mask]
-                Ms[rows] = cand[mask]
-                vals[rows] = cv[mask]
-                if mask.any():
-                    improved = True
-        # flat valleys admit endless marginal improvements at one level;
-        # cap the stay so the step ladder keeps descending
-        if not improved or hits >= 3:
-            step *= 0.5
-            hits = 0
-        else:
-            hits += 1
-        it += 1
-        # freeze starts that fell behind; ties within the slack stay live so
-        # distinct minimizers survive for the multiplicity count
-        keep = vals[act] <= vals[act].min() + 0.05
-        act = act[keep]
-    return Ms, vals
-
-
-def _certify_polished(body, X, Y0, M, dirs, tol):
-    """Certify the direction at coords M; a marginal failure feeds the
-    certifier's worst boundary direction back into the sampled objective and
-    re-descends, closing the gap between search and certificate."""
-    cert = is_contracting(body, X, _direction_from_coords(X, Y0, M), tol)
-    rounds = 0
-    while (
-        not cert.holds
-        and cert.violation <= max(1e3 * tol, 0.05)
-        and cert.worst is not None
-        and rounds < 3
-    ):
-        dirs = np.vstack([dirs, cert.worst[None, :]])
-        Ms, _ = _descend(body, X, Y0, M[None].copy(), dirs, POLISH_STEP, POLISH_ITERS)
-        cert2 = is_contracting(body, X, _direction_from_coords(X, Y0, Ms[0]), tol)
-        if cert2.violation >= cert.violation - 1e-15:
-            if cert2.violation < cert.violation:
-                cert = cert2
+    w, c = np.empty((0, d)), np.empty(0)
+    Ms, ub, lb, lb_cert, best = M[None], np.inf, -np.inf, -np.inf, None
+    box = [(-SEARCH_SPAN, SEARCH_SPAN)] * d
+    unit = np.r_[np.zeros(d), 1.0]
+    for _ in range(MAX_ROUNDS):
+        V = _violations(body, X, Y0, Ms, sample)
+        w2, c2 = _cuts(body, X, Y0, Ms, sample, V)
+        w, c = np.vstack([w, w2]), np.r_[c, c2]
+        f = V.max(axis=1)
+        if f.min() < ub:
+            M, ub = Ms[np.argmin(f)], float(f.min())
+        x = _lp(unit, np.hstack([-w, -np.ones((len(w), 1))]), -c, box + [(None, None)])
+        if x is None:
             break
-        M, cert = Ms[0], cert2
-        rounds += 1
-    return cert
+        lb = max(lb, float(x[-1]))
+        gap = max(NEAR * tol, GAP * abs(ub))
+        if ub - lb > gap:
+            # the l-infinity projection of M onto {model <= level}: the least
+            # s with |M' - M| <= s elementwise
+            level = lb + LEVEL * (ub - lb)
+            eye, ones = np.eye(d), np.ones((d, 1))
+            A = np.block([[-w, np.zeros((len(w), 1))], [eye, -ones], [-eye, -ones]])
+            y = _lp(unit, A, np.r_[level - c, M.ravel(), -M.ravel()], box + [(0.0, None)])
+            Ms = np.array([x[:d], x[:d] if y is None else y[:d]]).reshape((2,) + shape)
+            continue
+        cert = is_contracting(body, X, _direction_from_coords(X, Y0, M), tol)
+        if best is None or cert.violation < best[0].violation:
+            best = (cert, M)
+        if cert.holds or cert.violation <= lb + gap or lb <= lb_cert + gap:
+            break
+        # the certificate saw a point the sample missed: add it and resume
+        sample = tuple(map(np.concatenate, zip(sample, _boundary_sample(body, cert.worst[None]))))
+        Ms, ub, lb_cert = M[None], np.inf, lb
+    if best is None:
+        best = (is_contracting(body, X, _direction_from_coords(X, Y0, M), tol), M)
+    return best + (sample, lb)
+
+
+def _near_argmin_ends(body, X, Y0, M, level, sample):
+    """Bisected far ends of the convex set {sampled violation <= level} on
+    the rays from M along +-each coordinate that stay in it past 2
+    DEDUP_ANGLE."""
+    steps = np.concatenate([np.eye(M.size), -np.eye(M.size)]).reshape((-1,) + M.shape)
+    lo = np.full(len(steps), 2.0 * DEDUP_ANGLE)
+    inside = _violations(body, X, Y0, M + lo[:, None, None] * steps, sample).max(1) <= level
+    steps, lo = steps[inside], lo[inside]
+    hi = np.full(len(steps), 2.0 * SEARCH_SPAN)
+    for _ in range(BISECT_STEPS):
+        mid = 0.5 * (lo + hi)
+        ok = _violations(body, X, Y0, M + mid[:, None, None] * steps, sample).max(1) <= level
+        lo, hi = np.where(ok, mid, lo), np.where(ok, hi, mid)
+    return M + lo[:, None, None] * steps
 
 
 def find_contracting_direction(
@@ -332,14 +369,11 @@ def find_contracting_direction(
 ) -> DirectionSearchResult:
     """Search Gr_{n-k} for directions making X contracting.
 
-    The search runs on the GrassmannChart of (n-k)-planes over Y0 = X^perp,
-    with graph coordinates along X and the box half-width SEARCH_SPAN:
-    multistart coordinate descent of a coarse sampled violation from the
-    chart's STARTS-point grid, then certification at full sample density.
-    All tied minimizers below tol are returned, deduplicated at a small
-    principal angle, so callers can count them.  Warm-start candidates in
-    warm are certified first; with first_only the first certified direction
-    short circuits the search.
+    Warm candidates are certified first; with first_only the first certified
+    direction short circuits the search.  Then one convex solve runs on the
+    chart of directions over Y0 = X^perp, over the coarse sample and plane
+    layers; without first_only the certified far ends of its near-argmin set
+    count as further directions, deduplicated at DEDUP_ANGLE.
     """
     tally("direction_searches")
     n, k = X.ambient, X.dim
@@ -348,8 +382,8 @@ def find_contracting_direction(
     best_viol = np.inf
 
     # certified warm candidates short-circuit when only existence matters
-    warm_hits = []
-    warm_seeds = []
+    found = []
+    start = np.zeros((k, n - k))
     for Yc in warm:
         if Yc.ambient != n or Yc.dim != n - k:
             continue
@@ -357,59 +391,32 @@ def find_contracting_direction(
             cert = is_contracting(body, X, Yc, tol)
         except NonComplementary:
             continue
-        best_viol = min(best_viol, cert.violation)
         if cert.holds:
-            warm_hits.append(cert)
+            found.append(cert)
             if first_only:
-                return DirectionSearchResult(X, warm_hits, cert.violation)
-        else:
-            # the certificate accepted cond([X Yc]), which bounds cond(Y0^T Yc),
-            # so Yc is a graph over Y0
-            warm_seeds.append(chart.coords(Yc))
+                return DirectionSearchResult(X, found, cert.violation)
+        if cert.violation < best_viol:
+            # start from the best; its certificate accepted cond([X Yc]),
+            # which bounds cond(Y0^T Yc), so Yc is a graph over Y0
+            best_viol, start = cert.violation, chart.coords(Yc)
 
     dirs = np.vstack([sphere_directions(n, SEARCH_SAMPLES), _plane_layers(X)])
-    # polish phase: failed warm candidates descend locally before any
-    # multistart, which is what keeps neighboring-plane sweeps cheap
-    if warm_seeds and not warm_hits:
-        Ms = np.array(warm_seeds)
-        Ms, vals = _descend(body, X, Y0, Ms, dirs, 0.05, 60)
-        i = int(np.argmin(vals))
-        cert = _certify_polished(body, X, Y0, Ms[i], dirs, tol)
-        best_viol = min(best_viol, cert.violation)
-        if cert.holds:
-            warm_hits.append(cert)
-            if first_only:
-                return DirectionSearchResult(X, warm_hits, cert.violation)
-
-    per_axis = max(2, round(STARTS ** (1.0 / chart.dim)))
-    Ms = np.array(chart.grid(per_axis, STARTS))
-    Ms, vals = _descend(body, X, Y0, Ms, dirs, SEARCH_SPAN / 4.0, MAX_ITER)
-    # cluster candidate minimizers before the expensive certification; always
-    # certify the best one so failures report a full-density violation
-    order = np.argsort(vals)
-    cutoff = max(tol * 10.0, float(vals[order[0]]) + 1e-12)
-    reps = []
-    for i in order:
-        if len(reps) >= 8 or (vals[i] > cutoff and reps):
-            break
-        Yc = _direction_from_coords(X, Y0, Ms[i])
-        if any(subspace_angle(Yc, r) <= 1e-3 for _, r in reps):
-            continue
-        reps.append((Ms[i], Yc))
-    found = list(warm_hits)
-    for M, Yc in reps:
-        cert = _certify_polished(body, X, Y0, M, dirs, tol)
-        best_viol = min(best_viol, cert.violation)
-        if cert.holds:
-            if all(
-                subspace_angle(cert.direction, c.direction) > DEDUP_ANGLE
-                for c in found
-            ):
-                found.append(cert)
-            if first_only:
-                break
-    found.sort(key=lambda c: c.violation)
-    return DirectionSearchResult(X, found, best_viol)
+    cert, M, sample, lb = _solve(body, X, Y0, start, dirs, tol)
+    best_viol = min(best_viol, cert.violation)
+    if cert.holds:
+        found.append(cert)
+        if not first_only:
+            # lb is at most the minimum, so this level set lies inside the
+            # minimum's own NEAR tol sublevel set
+            for E in _near_argmin_ends(body, X, Y0, M, lb + NEAR * tol, sample):
+                end = is_contracting(body, X, _direction_from_coords(X, Y0, E), tol)
+                if end.holds:
+                    found.append(end)
+    unique = []
+    for c in sorted(found, key=lambda c: c.violation):
+        if all(subspace_angle(c.direction, u.direction) > DEDUP_ANGLE for u in unique):
+            unique.append(c)
+    return DirectionSearchResult(X, unique, best_viol, lb)
 
 
 def shared_generatrix_cylinder(
@@ -420,21 +427,13 @@ def shared_generatrix_cylinder(
 ):
     """Cylinder (B cut by planes[0]) + Y, if Y certifies on every plane.
 
-    After certification the cylinder's sections through the other planes are
-    cross-checked against the body's sections by Hausdorff distance of the
-    boundary samples; any mismatch returns None.
+    The certificates already prove that the sections agree: Y contracting
+    for planes[0] puts B inside the cylinder C, so B cut by X lies in C cut
+    by X; and C cut by X is the projection of B cut by planes[0] onto X
+    along Y, which lies in B cut by X once Y is contracting for X.
     """
     planes = list(planes)
     for X in planes:
         if not is_contracting(body, X, Y, tol).holds:
             return None
-    base_plane = planes[0]
-    cyl = Cylinder(SectionBody(body, base_plane), base_plane, Y)
-    for X in planes[1:]:
-        sb = section_samples(body, X).ambient_points
-        sc = section_samples(cyl, X).ambient_points
-        D = cdist(sb, sc)
-        haus = max(D.min(axis=0).max(), D.min(axis=1).max())
-        if haus > tol:
-            return None
-    return cyl
+    return Cylinder(SectionBody(body, planes[0]), planes[0], Y)
