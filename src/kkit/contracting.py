@@ -38,7 +38,8 @@ _FLAT_TOL = 1e-9
 DEDUP_ANGLE = 1e-4
 # Strongest certificate samples refined by pattern search.
 REFINE_TOP = 8
-# Half-width of the chart box the direction search runs in.
+# Half-width of the chart box the direction search starts in; its master LP
+# doubles the box whenever the model's minimum lies on the box's face.
 SEARCH_SPAN = 1.5
 # Pattern-search step of the certificate refinement.  It need only cover the
 # sample spacing the seeds came from; the certificate sampler is dense enough
@@ -47,15 +48,13 @@ REFINE_STEP = 0.05
 # Directions per ring of the plane-hugging layers.
 LAYER_RING = 32
 # Level bundle solve of the direction search: cuts per evaluated point, the
-# level's fraction of the gap, the stall guard, and the relative gap closed.
+# level's fraction of the gap, and the stall guard.
 CUT_POINTS = 4
 LEVEL = 0.3
 MAX_ROUNDS = 300
-GAP = 1e-4
-# Slack as a fraction of tol: the absolute gap closed, and the near-argmin
-# set whose extent (BISECT_STEPS halvings) counts distinct directions.
-NEAR = 1e-3
-BISECT_STEPS = 30
+# The gap closed, relative to the violation and floored at NEAR tol; the
+# near-argmin set whose extent counts distinct directions is NEAR tol wide.
+NEAR = 1e-4
 
 
 @dataclass
@@ -220,7 +219,8 @@ def _fixed_rotation(n: int):
 @dataclass
 class DirectionSearchResult:
     """Certified directions (deduped), the best violation seen, and the
-    solve's lower bound for every complement in the box (-inf if none ran)."""
+    solve's lower bound on the sampled violation of every complement of the
+    plane (-inf if no solve ran or its master never settled inside its box)."""
 
     plane: Subspace
     found: list
@@ -233,11 +233,6 @@ class DirectionSearchResult:
 
     def __bool__(self):
         return bool(self.found)
-
-
-def _direction_from_coords(X: Subspace, Y0: Subspace, M):
-    """The chart's plane at M without its box check."""
-    return Subspace(Y0.frame + X.frame @ M)
 
 
 # Violations near the optimum are carried by boundary points close to X, so
@@ -276,13 +271,16 @@ def _cuts(body: Body, X: Subspace, Y0: Subspace, Ms, sample, V):
     top = np.argsort(V, axis=1)[:, -CUT_POINTS:]
     a, b = test[top] @ X.frame, test[top] @ Y0.frame
     q = ((a - b @ Ms.transpose(0, 2, 1)) @ X.frame.T).reshape(-1, X.ambient)
+    a, b = a.reshape(len(q), -1), b.reshape(len(q), -1)
     g = (np.take_along_axis(V, top, axis=1) + base[top]).reshape(-1)
     on = g > _FLAT_TOL
     L = np.zeros_like(q)
     L[on] = body.support_many(q[on] / g[on, None])
-    u, b = L @ X.frame, b.reshape(len(q), -1)
+    # l . X (a - M' b) = u . a - u^T M' b with u = X^T l
+    u = L @ X.frame
     w = (u[:, :, None] * b[:, None, :]).reshape(len(q), -1)
-    return w, np.einsum("ij,ij->i", u, a.reshape(len(q), -1)) - base[top].reshape(-1)
+    c = (u * a).sum(axis=1) - base[top].reshape(-1)
+    return w, c
 
 
 def _lp(cost, A, b, bounds):
@@ -294,70 +292,82 @@ def _lp(cost, A, b, bounds):
 
 
 def _solve(body: Body, X: Subspace, Y0: Subspace, M, dirs, tol):
-    """Level bundle minimization of the sampled violation over the chart box
-    from M (Lemarechal, Nemirovskii & Nesterov, Math. Programming 69, 1995):
-    (best certificate, its coordinates, final sample, lower bound lb).
+    """Level bundle minimization of the sampled violation over all chart
+    coordinates, from M (Lemarechal, Nemirovskii & Nesterov, Math.
+    Programming 69, 1995): (best certificate, its coordinates, final sample,
+    lower bound lb for every complement of X).
 
-    Each round cuts at the new points, takes lb from the Kelley master LP and
-    moves to the l-infinity projection of the best point onto the model's
-    level set lb + LEVEL (ub - lb).  Once the gap closes the best point is
-    certified; a failure adds its worst point to the sample and resumes,
-    until the certificate meets lb or its point no longer moves lb.
+    Each round cuts at the new points and solves the Kelley master LP in a
+    box that holds M.  A master minimizer inside the box is the model's
+    global minimum, so its value is a lower bound lb; one on the box's face
+    doubles the box, since the minimum may lie beyond it.  The next point is
+    the l-infinity projection of the best point onto the model's level set,
+    LEVEL of the way from the master value to the best value ub.  Once ub - lb
+    closes, the best point is certified; a failure adds its worst point to
+    the sample and resumes, until the certificate meets lb or its point no
+    longer moves lb.
     """
     shape, d = M.shape, M.size
     sample = _test_points(body, dirs)
     w, c = np.empty((0, d)), np.empty(0)
-    Ms, ub, lb, lb_cert, best = M[None], np.inf, -np.inf, -np.inf, None
-    box = [(-SEARCH_SPAN, SEARCH_SPAN)] * d
+    span = max(SEARCH_SPAN, 2.0 * np.abs(M).max())
+    Ms = M[None]
+    ub, lb, lb_cert = np.inf, -np.inf, -np.inf
+    best = None
     unit = np.r_[np.zeros(d), 1.0]
+    eye, ones = np.eye(d), np.ones((d, 1))
     for _ in range(MAX_ROUNDS):
         V = _violations(body, X, Y0, Ms, sample)
-        w2, c2 = _cuts(body, X, Y0, Ms, sample, V)
-        w, c = np.vstack([w, w2]), np.r_[c, c2]
+        w_new, c_new = _cuts(body, X, Y0, Ms, sample, V)
+        w, c = np.vstack([w, w_new]), np.r_[c, c_new]
         f = V.max(axis=1)
         if f.min() < ub:
             M, ub = Ms[np.argmin(f)], float(f.min())
-        x = _lp(unit, np.hstack([-w, -np.ones((len(w), 1))]), -c, box + [(None, None)])
+        master = np.hstack([-w, -np.ones((len(w), 1))])
+        x = _lp(unit, master, -c, [(-span, span)] * d + [(None, None)])
         if x is None:
             break
-        lb = max(lb, float(x[-1]))
-        gap = max(NEAR * tol, GAP * abs(ub))
+        if np.abs(x[:d]).max() < (1.0 - 1e-9) * span:
+            lb = max(lb, float(x[-1]))
+        else:
+            span *= 2.0
+        gap = NEAR * max(tol, abs(ub))
         if ub - lb > gap:
             # the l-infinity projection of M onto {model <= level}: the least
             # s with |M' - M| <= s elementwise
-            level = lb + LEVEL * (ub - lb)
-            eye, ones = np.eye(d), np.ones((d, 1))
+            level = x[-1] + LEVEL * (ub - x[-1])
             A = np.block([[-w, np.zeros((len(w), 1))], [eye, -ones], [-eye, -ones]])
-            y = _lp(unit, A, np.r_[level - c, M.ravel(), -M.ravel()], box + [(0.0, None)])
-            Ms = np.array([x[:d], x[:d] if y is None else y[:d]]).reshape((2,) + shape)
+            rhs = np.r_[level - c, M.ravel(), -M.ravel()]
+            y = _lp(unit, A, rhs, [(None, None)] * d + [(0.0, None)])
+            step = x[:d] if y is None else y[:d]
+            Ms = np.array([x[:d], step]).reshape((2,) + shape)
             continue
-        cert = is_contracting(body, X, _direction_from_coords(X, Y0, M), tol)
+        cert = is_contracting(body, X, Subspace(Y0.frame + X.frame @ M), tol)
         if best is None or cert.violation < best[0].violation:
             best = (cert, M)
         if cert.holds or cert.violation <= lb + gap or lb <= lb_cert + gap:
             break
         # the certificate saw a point the sample missed: add it and resume
-        sample = tuple(map(np.concatenate, zip(sample, _boundary_sample(body, cert.worst[None]))))
+        worst, worst_base = _boundary_sample(body, cert.worst[None])
+        sample = (np.vstack([sample[0], worst]), np.r_[sample[1], worst_base])
         Ms, ub, lb_cert = M[None], np.inf, lb
     if best is None:
-        best = (is_contracting(body, X, _direction_from_coords(X, Y0, M), tol), M)
+        best = (is_contracting(body, X, Subspace(Y0.frame + X.frame @ M), tol), M)
     return best + (sample, lb)
 
 
 def _near_argmin_ends(body, X, Y0, M, level, sample):
-    """Bisected far ends of the convex set {sampled violation <= level} on
-    the rays from M along +-each coordinate that stay in it past 2
-    DEDUP_ANGLE."""
+    """Far ends of the convex set {sampled violation <= level} on the rays
+    from M along +-each coordinate, bisected to DEDUP_ANGLE within 2
+    SEARCH_SPAN, for the rays that stay in it past 2 DEDUP_ANGLE."""
     steps = np.concatenate([np.eye(M.size), -np.eye(M.size)]).reshape((-1,) + M.shape)
-    lo = np.full(len(steps), 2.0 * DEDUP_ANGLE)
-    inside = _violations(body, X, Y0, M + lo[:, None, None] * steps, sample).max(1) <= level
-    steps, lo = steps[inside], lo[inside]
-    hi = np.full(len(steps), 2.0 * SEARCH_SPAN)
-    for _ in range(BISECT_STEPS):
+    lo, hi = np.zeros(len(steps)), np.full(len(steps), 2.0 * SEARCH_SPAN)
+    while np.any(hi - lo > DEDUP_ANGLE):
         mid = 0.5 * (lo + hi)
         ok = _violations(body, X, Y0, M + mid[:, None, None] * steps, sample).max(1) <= level
         lo, hi = np.where(ok, mid, lo), np.where(ok, hi, mid)
-    return M + lo[:, None, None] * steps
+    far = lo > 2.0 * DEDUP_ANGLE
+    return M + lo[far, None, None] * steps[far]
 
 
 def find_contracting_direction(
@@ -409,7 +419,7 @@ def find_contracting_direction(
             # lb is at most the minimum, so this level set lies inside the
             # minimum's own NEAR tol sublevel set
             for E in _near_argmin_ends(body, X, Y0, M, lb + NEAR * tol, sample):
-                end = is_contracting(body, X, _direction_from_coords(X, Y0, E), tol)
+                end = is_contracting(body, X, Subspace(Y0.frame + X.frame @ E), tol)
                 if end.holds:
                     found.append(end)
     unique = []

@@ -92,6 +92,33 @@ def test_find_direction_on_tilted_plane_matches_truth():
     assert not cylinder_contains(Ellipsoid(Q), X, Z)
 
 
+def _sheared_cube():
+    # the shear maps the cube's one xy direction, z, to (2, 0, 1)
+    cube = Polytope([[a, b, c] for a in (-1, 1) for b in (-1, 1) for c in (-1, 1)])
+    shear = [[1.0, 0.0, 2.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
+    return LinearImage(shear, cube), Subspace.span([2.0, 0.0, 1.0])
+
+
+def _steep_ellipsoid():
+    # Q^-1 = R diag(1, 1, 16) R^T, R tilting z by atan(4) in the xz plane
+    c, s = 1.0 / np.sqrt(17.0), 4.0 / np.sqrt(17.0)
+    R = np.array([[c, 0.0, -s], [0.0, 1.0, 0.0], [s, 0.0, c]])
+    Q = np.linalg.inv(R @ np.diag([1.0, 1.0, 16.0]) @ R.T)
+    return Ellipsoid(Q), q_complement(Q, XY)
+
+
+@pytest.mark.parametrize("make", [_sheared_cube, _steep_ellipsoid])
+def test_cold_search_reaches_directions_outside_the_start_box(make):
+    # every complement of XY is a graph over z with unbounded coordinates;
+    # these bodies contract only along one far outside |M| <= SEARCH_SPAN
+    body, truth = make()
+    M = GrassmannChart(Z, 1.0, transversal=XY).coords(truth)
+    assert np.abs(M).max() > 1.2 * contracting_module.SEARCH_SPAN
+    res = find_contracting_direction(body, XY)
+    assert len(res.found) == 1 and res.lower_bound <= res.best_violation
+    assert subspace_angle(res.found[0].direction, truth) <= 1e-4
+
+
 def test_octahedron_admits_a_continuum_of_directions():
     octa = Polytope(np.vstack([np.eye(3), -np.eye(3)]))
     # span(a,b,1) works iff |a|+|b| <= 1: e3 maps to (-a,-b,0)
