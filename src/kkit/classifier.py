@@ -508,7 +508,7 @@ def _classify(body, region, opts):
     # and still gates the verdict)
     form = None
     psd = None
-    quadric_witness = (region.base, float("nan"))
+    quadric_witness = None
     try:
         form, psd = reconstruct_global_form(body, region, seed=opts.seed)
         diagnostics["form_psd"] = psd
@@ -578,6 +578,12 @@ def _classify(body, region, opts):
             # gap: planes contract individually but no global structure
             # exists; report the strongest structural failure as witness
             diagnostics["direction_spread"] = max(subspace_angle(L0, L) for L in directions)
+            if quadric_witness is None:
+                # the form verified but is not PSD, so no structural test
+                # failed: witness the first plane L0 does not contract
+                certs = (is_contracting(body, X, L0, opts.tol) for X in planes)
+                cert = next(c for c in certs if not c.holds)
+                quadric_witness = (cert.plane, cert.violation)
             wplane, wviol = quadric_witness
             return ClassificationReport(
                 "NonKakutani",

@@ -8,10 +8,11 @@ coefficients.
 
 import functools
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
-from scipy.stats import norm as _normal
-from scipy.stats import qmc
+import scipy
+from scipy.special import ndtri
 
 from .errors import NonComplementary, OutOfChart
 
@@ -26,6 +27,8 @@ RANK_RTOL = 1e-10
 COND_MAX = 1e12
 # Slack on a chart's box bounds, so coordinates at the edge count as inside.
 BOX_TOL = 1e-12
+# Bits of the Sobol generator, scipy's default: 2**30 distinct points.
+SOBOL_BITS = 30
 
 
 def orthonormal_frame(vectors):
@@ -216,8 +219,9 @@ class GrassmannChart:
     def grid(self, per_axis: int = 9, cap: int = 128):
         """Deterministic list of coefficient matrices covering the box.
 
-        Full row-major lattice while per_axis**dim stays within cap, else an
-        unscrambled Sobol sample of cap points (cap should be a power of two).
+        Full row-major lattice while per_axis**dim stays within cap, else the
+        first cap points (cap should be a power of two) of the unscrambled
+        Joe-Kuo Sobol sequence in Gray-code order, bit for bit scipy's.
         The base plane's M = 0 is always first.
         """
         d = self.dim
@@ -230,8 +234,7 @@ class GrassmannChart:
             mesh = np.meshgrid(*axes, indexing="ij")
             flat = np.stack([m.reshape(-1) for m in mesh], axis=1)
         else:
-            sob = qmc.Sobol(d, scramble=False).random(cap)
-            flat = (2.0 * sob - 1.0) * self.halfwidths.reshape(-1)
+            flat = (2.0 * _sobol(d, cap) - 1.0) * self.halfwidths.reshape(-1)
         order = np.argsort(np.linalg.norm(flat, axis=1), kind="stable")
         flat = flat[order]
         return [flat[i].reshape(shape) for i in range(flat.shape[0])]
@@ -245,10 +248,11 @@ class GrassmannChart:
 def sphere_directions(dim: int, m: int):
     """m quasi-uniform unit directions in R^dim, deterministic.
 
-    dim 2 uses equal angles, dim 3 a Fibonacci spiral, higher dims an
-    unscrambled Sobol sequence pushed through the normal quantile.  Each
-    (dim, m) set is built once and shared: the array is read-only, so callers
-    must copy it before writing into it.
+    dim 2 uses equal angles, dim 3 a Fibonacci spiral, higher dims the
+    unscrambled Joe-Kuo Sobol sequence in Gray-code order (bit for bit
+    scipy's) pushed through the normal quantile.  Each (dim, m) set is built
+    once and shared: the array is read-only, so callers must copy it before
+    writing into it.
     """
     return _sphere_directions(dim, m)
 
@@ -267,14 +271,42 @@ def _sphere_directions(dim: int, m: int):
         th = np.pi * (1.0 + np.sqrt(5.0)) * i
         D = np.column_stack([r * np.cos(th), r * np.sin(th), z])
     else:
-        sob = qmc.Sobol(dim, scramble=False)
-        sob.fast_forward(1)  # skip the all-zero point
-        X = _normal.ppf(np.clip(sob.random(m + 4), 1e-12, 1.0 - 1e-12))
+        # skip=1 drops the all-zero point
+        X = ndtri(np.clip(_sobol(dim, m + 4, skip=1), 1e-12, 1.0 - 1e-12))
         nrm = np.linalg.norm(X, axis=1)
         X = X[nrm > 1e-9][:m]  # the all-0.5 point maps to the origin; drop it
         D = X / np.linalg.norm(X, axis=1)[:, None]
     D.setflags(write=False)
     return D
+
+
+@functools.cache
+def _sobol_directions(dim: int):
+    """(dim, SOBOL_BITS) direction numbers from the Joe-Kuo table scipy
+    ships, filled in by the recurrence of Bratley & Fox (ACM TOMS 659)."""
+    with np.load(Path(scipy.__file__).parent / "stats" / "_sobol_direction_numbers.npz") as table:
+        poly, vinit = table["poly"][:dim].tolist(), table["vinit"][:dim].tolist()
+    V = [[1] * SOBOL_BITS]
+    for p, v in zip(poly[1:], vinit[1:]):
+        m = p.bit_length() - 1
+        v = v[:m]
+        for j in range(m, SOBOL_BITS):
+            taps = (v[j - i] << i for i in range(1, m + 1) if p >> (m - i) & 1)
+            v.append(functools.reduce(int.__xor__, taps, v[j - m]))
+        V.append(v)
+    return np.array(V, dtype=np.int64) << np.arange(SOBOL_BITS - 1, -1, -1)
+
+
+def _sobol(dim: int, n: int, skip: int = 0):
+    """Points skip .. skip+n-1 of the unscrambled Sobol sequence in [0, 1)^dim:
+    point i XORs the direction numbers of the set bits of i's Gray code."""
+    V = _sobol_directions(dim)
+    gray = np.arange(skip, skip + n)
+    gray ^= gray >> 1
+    X = np.zeros((n, dim), dtype=np.int64)
+    for b in range(int(gray.max(initial=0)).bit_length()):
+        X ^= (gray >> b & 1)[:, None] * V[:, b]
+    return X * 2.0**-SOBOL_BITS
 
 
 def random_subspace(rng, n: int, k: int) -> Subspace:

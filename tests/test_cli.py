@@ -4,7 +4,18 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from kkit.cli import CliError, body_from_dict, body_to_dict, load_body, main, write_report
+import kkit.classifier as classifier_module
+from kkit.cli import (
+    CliError,
+    body_from_dict,
+    body_to_dict,
+    load_body,
+    load_region,
+    main,
+    write_report,
+)
+from kkit.contracting import DEFAULT_TOL, is_contracting
+from kkit.linalg import Subspace
 
 FIX = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -45,6 +56,33 @@ def test_classify_ellipsoid_fixture(tmp_path):
     F = np.asarray(rep["witness"]["form"])
     assert np.abs(F - Q).max() <= 1e-6 * np.linalg.norm(Q)
     assert set(rep) == {"verdict", "witness", "diagnostics", "timings", "config_echo"}
+
+
+def test_gap_path_with_a_form_that_is_not_psd_writes_a_finite_witness(tmp_path, monkeypatch):
+    # a verified form that is not PSD leaves no structural test failed; the
+    # witness is the first grid plane the base plane's direction does not
+    # contract, with that certificate's violation
+    real = classifier_module.reconstruct_global_form
+    monkeypatch.setattr(
+        classifier_module,
+        "reconstruct_global_form",
+        lambda body, region, seed: (real(body, region, seed=seed)[0], False),
+    )
+    code, rep = run(
+        tmp_path, "classify", FIX / "ellipsoid.json", FIX / "region_tilted.json",
+        "--grid", "3",
+    )
+    assert code == 2
+    assert rep["verdict"] == "NonKakutani"
+    assert rep["diagnostics"]["form_psd"] is False
+    body, region = load_body(FIX / "ellipsoid.json"), load_region(FIX / "region_tilted.json")
+    planes = [region.plane(M) for M in region.grid(3)]
+    L0 = classifier_module._form_direction(body.Q, region.base)
+    viols = [is_contracting(body, X, L0).violation for X in planes]
+    first = next(i for i, v in enumerate(viols) if v > DEFAULT_TOL)
+    X = Subspace(np.asarray(rep["witness"]["witness_plane"]))
+    assert X.is_same(planes[first])
+    assert rep["witness"]["violation"] == pytest.approx(viols[first], rel=1e-4)
 
 
 def test_classify_box_fixture(tmp_path):

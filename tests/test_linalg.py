@@ -1,8 +1,13 @@
 import collections
 import functools
+import subprocess
+import sys
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.stats import norm, qmc
 
 import kkit.linalg as linalg_module
 from kkit.bodies import Ellipsoid
@@ -215,6 +220,42 @@ def test_classify_builds_each_direction_set_once(monkeypatch):
     rep = classify(Ellipsoid(random_spd(r, 4)), GrassmannChart(random_subspace(r, 4, 2), 0.1))
     assert rep.verdict == "Ellipsoid"
     assert builds and max(builds.values()) == 1
+
+
+@pytest.mark.parametrize("dim", range(1, 13))
+def test_sobol_is_scipys_unscrambled_sequence_bit_for_bit(dim):
+    for n in (4096, 4100):
+        for skip in (0, 1):
+            engine = qmc.Sobol(dim, scramble=False)
+            if skip:
+                engine.fast_forward(skip)
+            with warnings.catch_warnings():
+                # scipy warns that 4100 points lose the balance of 2**12
+                warnings.simplefilter("ignore", UserWarning)
+                want = engine.random(n)
+            got = linalg_module._sobol(dim, n, skip=skip)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("dim", (4, 5, 6))
+def test_sphere_directions_match_the_normal_quantile_of_scipys_sobol(dim):
+    engine = qmc.Sobol(dim, scramble=False)
+    engine.fast_forward(1)
+    X = norm.ppf(np.clip(engine.random(4096 + 4), 1e-12, 1.0 - 1e-12))
+    X = X[np.linalg.norm(X, axis=1) > 1e-9][:4096]
+    want = X / np.linalg.norm(X, axis=1)[:, None]
+    assert sphere_directions(dim, 4096).tobytes() == want.tobytes()
+
+
+def test_kkit_does_not_import_scipy_stats():
+    # scipy.stats costs about half a second of every CLI start-up
+    src = str(Path(linalg_module.__file__).resolve().parents[1])
+    code = (
+        f"import sys; sys.path.insert(0, {src!r}); import kkit, kkit.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[:2] == ['scipy', 'stats']))"
+    )
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 def test_principal_angles_orthogonal_case():
