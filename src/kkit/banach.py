@@ -220,60 +220,68 @@ def max_inscribed_ellipsoid(functionals):
 # --------------------------------------------------------- radial signatures
 
 
-def _radials(sec: SectionBody, M, c, dirs):
-    """Radial extents of the normalized section along unit frame directions."""
-    W = dirs @ M.T
-    if np.linalg.norm(c) <= 1e-12:
-        return 1.0 / sec.gauge_many(W)
+def _radials(body: Body, maps, centres, dirs):
+    """Radial extents of normalized sections along unit directions: entry
+    [p, t] is the s > 0 with gauge(centres[p] + s maps[p] dirs[t]) = 1, for
+    maps (P, n, k) from normalized to ambient coordinates and centres (P, n)."""
+    m, n = len(dirs), maps.shape[1]
+    W = dirs @ maps.swapaxes(-1, -2)
+    r = 1.0 / body.gauge_many(W.reshape(-1, n)).reshape(-1, m)
+    off = np.linalg.norm(centres, axis=1) > 1e-12
+    if not off.any():
+        return r
     # general center: solve gauge(c + t w) = 1 by vectorized bisection
+    W, C = W[off].reshape(-1, n), np.repeat(centres[off], m, axis=0)
     t_hi = np.ones(len(W))
     for _ in range(60):
-        mask = sec.gauge_many(c[None, :] + t_hi[:, None] * W) < 1.0
+        mask = body.gauge_many(C + t_hi[:, None] * W) < 1.0
         if not mask.any():
             break
         t_hi[mask] *= 2.0
     t_lo = np.zeros(len(W))
     for _ in range(80):
         mid = 0.5 * (t_lo + t_hi)
-        inside = sec.gauge_many(c[None, :] + mid[:, None] * W) <= 1.0
+        inside = body.gauge_many(C + mid[:, None] * W) <= 1.0
         t_lo = np.where(inside, mid, t_lo)
         t_hi = np.where(inside, t_hi, mid)
-    return 0.5 * (t_lo + t_hi)
+    r[off] = (0.5 * (t_lo + t_hi)).reshape(-1, m)
+    return r
 
 
 def _rot(a):
-    return np.array([[np.cos(a), -np.sin(a)], [np.sin(a), np.cos(a)]])
+    c, s = np.cos(a), np.sin(a)
+    return np.moveaxis(np.array([[c, -s], [s, c]]), (0, 1), (-2, -1))
 
 
-def _match_planar(sec1, M1, c1, sec2, M2, c2):
-    """Best rotation/reflection aligning two normalized planar signatures.
+def _match_planar(body: Body, pairs):
+    """Best rotation/reflection aligning the normalized planar signatures of
+    every pair (A1, c1, M1, A2, c2, M2) of a stack, each (A, c, M) as cached
+    by _normalize: [(map in frame coordinates, residual)] per pair.
 
-    Coarse scan over grid shifts (windows of the doubled signature, exact
-    on the shared angle grid), then a sub-grid scan and golden-section
-    refinement of the shift with true radial re-evaluation.  Returns (map in
-    frame coordinates, residual).
+    Each pair gets a coarse scan over grid shifts (windows of the doubled
+    signature, exact on the shared angle grid) and a sub-grid scan with true
+    radial re-evaluation.  Golden-section refinement of the shift then matches
+    all pairs in one lockstep search, one radial evaluation of the whole stack
+    per orientation and step.
     """
     ang = np.linspace(0.0, 2.0 * np.pi, SCAN_OFFSETS, endpoint=False)
     circle = np.column_stack([np.cos(ang), np.sin(ang)])
-    r1 = _radials(sec1, M1, c1, circle)
-    s2 = _radials(sec2, M2, c2, circle)
+    A1, c1, M1, A2, c2, M2 = map(np.stack, zip(*pairs))
+    s2 = np.empty((len(pairs), SCAN_OFFSETS))
+    flips = np.array([1.0, -1.0])
 
-    def scan(r):
-        """max_i |r[(i + j) % SCAN_OFFSETS] - s2[i]| for every grid shift j."""
-        d = sliding_window_view(np.concatenate([r, r]), SCAN_OFFSETS)[:SCAN_OFFSETS] - s2
+    def scan(r, s):
+        """max_j |r[(j + l) % SCAN_OFFSETS] - s[j]| for every grid shift l."""
+        d = sliding_window_view(np.concatenate([r, r]), SCAN_OFFSETS)[:SCAN_OFFSETS] - s
         return np.abs(d, out=d).max(axis=1)
 
-    # r1(theta_i + j d) = r1[(i + j) % SCAN_OFFSETS] on the shared grid, and the
-    # reflection r1(-theta_i + j d) = r1[::-1][(i - j - 1) % SCAN_OFFSETS]
-    coarse = {+1: scan(r1), -1: scan(r1[::-1])[::-1]}
-
-    def residuals(phis, flips):
-        """Residual of every candidate shift and orientation, in one radial
-        evaluation."""
-        theta = flips[:, None] * ang + phis[:, None]
-        pts = np.stack([np.cos(theta), np.sin(theta)], axis=-1).reshape(-1, 2)
-        r = _radials(sec1, M1, c1, pts).reshape(len(theta), SCAN_OFFSETS)
-        return np.abs(r - s2).max(axis=1)
+    def residuals(phis, rows):
+        """Residual of pair rows[i] at shift phis[j, i] in orientation flips[j], one
+        radial evaluation per orientation of the circle mapped by A1 R(phi) diag(1, flip)."""
+        maps = A1[rows] @ _rot(phis)
+        maps[..., 1] *= flips[:, None, None]
+        return np.stack([np.abs(_radials(body, m, c1[rows], circle) - s2[rows]).max(axis=1)
+                         for m in maps])
 
     # Refine the best coarse shift of each orientation and keep the smaller
     # residual: symmetric sections tie many coarse shifts exactly, and
@@ -281,38 +289,46 @@ def _match_planar(sec1, M1, c1, sec2, M2, c2):
     # its worst mismatch sits on a circular arc, and golden section started
     # across such a plateau can stall above the minimum, so a sub-grid scan
     # within one grid step first picks the lowest basin.  The scans run one
-    # orientation at a time: a joint scan would double the largest radial
-    # batch, and with it the peak memory.
-    flips = np.array([1.0, -1.0])
+    # pair and one orientation at a time: a joint scan would multiply the
+    # largest radial batch, and with it the peak memory.  Both coarse scans of
+    # a pair come first: their 720 x 720 arrays, allocated back to back, do not
+    # fragment the heap.
     step = 2.0 * np.pi / SCAN_OFFSETS
-    phi0 = np.empty(2)
-    for row, f in enumerate((+1, -1)):
-        sub = ang[np.argmin(coarse[f])] + step * np.linspace(-1.0, 1.0, 2 * REFINE_SUB + 1)
-        phi0[row] = sub[np.argmin(residuals(sub, np.full(len(sub), f)))]
+    sub = step * np.linspace(-1.0, 1.0, 2 * REFINE_SUB + 1)
+    phi0 = np.empty((2, len(pairs)))
+    for i in range(len(pairs)):
+        r1, s2[i] = _radials(body, np.stack([A1[i], A2[i]]), np.stack([c1[i], c2[i]]), circle)
+        # r1(theta_j + l d) = r1[(j + l) % SCAN_OFFSETS] on the shared grid, and the
+        # reflection r1(-theta_j + l d) = r1[::-1][(j - l - 1) % SCAN_OFFSETS]
+        coarse = np.stack([scan(r1, s2[i]), scan(r1[::-1], s2[i])[::-1]])
+        phis = ang[np.argmin(coarse, axis=1)][:, None] + sub
+        phi0[:, i] = phis[[0, 1], np.argmin(residuals(phis, np.full(len(sub), i)), axis=1)]
     gr = (np.sqrt(5.0) - 1.0) / 2.0
+    rows = np.arange(len(pairs))
     a, b = phi0 - step / REFINE_SUB, phi0 + step / REFINE_SUB
     x1 = b - gr * (b - a)
     x2 = a + gr * (b - a)
-    f1, f2 = residuals(np.concatenate([x1, x2]), np.tile(flips, 2)).reshape(2, 2)
-    # golden section on both orientations in lockstep: their intervals start
-    # equal and shrink alike, and each one stops at its own width
+    f1, f2 = residuals(x1, rows), residuals(x2, rows)
+    # golden section on every pair and orientation in lockstep: the brackets
+    # start equal and shrink alike, and each one stops at its own width
     while (run := b - a > REFINE_TOL).any():
         left = f1 <= f2
         na, nb = np.where(left, a, x1), np.where(left, x2, b)
         xn = np.where(left, nb - gr * (nb - na), na + gr * (nb - na))
-        fn = residuals(xn, flips)
+        fn = residuals(xn, rows)
         new = (na, nb, np.where(left, xn, x2), np.where(left, fn, f2),
                np.where(left, x1, xn), np.where(left, f1, fn))
         old = (a, b, x1, f1, x2, f2)
         a, b, x1, f1, x2, f2 = (np.where(run, n, o) for n, o in zip(new, old))
     phis, res = np.where(f1 <= f2, x1, x2), np.minimum(f1, f2)
-    best = 1 if res[1] < res[0] else 0
-    phi, res, flip = float(phis[best]), float(res[best]), int(flips[best])
+    best = (res[1] < res[0]).astype(int)
+    phi, res, flip = phis[best, rows], res[best, rows], flips[best]
     # matched r1(flip theta + phi) = r2(theta): on normalized bodies the map
     # sends the direction at angle alpha to flip (alpha - phi)
-    T = _rot(-flip * phi) @ np.diag([1.0, float(flip)])
+    T = _rot(-flip * phi)
+    T[..., 1] *= flip[:, None]
     Lmap = M2 @ T @ np.linalg.inv(M1)
-    return Lmap, res
+    return [(L, float(e)) for L, e in zip(Lmap, res)]
 
 
 @functools.cache
@@ -327,11 +343,10 @@ def _signed_permutations():
     return tuple(out)
 
 
-def _match_spatial(sec1, M1, c1, sec2, M2, c2):
+def _match_spatial(body: Body, A1, c1, M1, A2, c2, M2):
     """Heuristic 3D signature alignment over moment principal frames."""
     dirs = sphere_directions(3, SPATIAL_DESIGN)
-    r1 = _radials(sec1, M1, c1, dirs)
-    r2 = _radials(sec2, M2, c2, dirs)
+    r1, r2 = _radials(body, np.stack([A1, A2]), np.stack([c1, c2]), dirs)
     P1 = dirs * r1[:, None]
     P2 = dirs * r2[:, None]
     _, V1 = np.linalg.eigh(P1.T @ P1)
@@ -339,7 +354,7 @@ def _match_spatial(sec1, M1, c1, sec2, M2, c2):
     best = (float(np.abs(r1 - r2).max()), np.eye(3))
     for P in _signed_permutations():
         O = V1 @ P @ V2.T
-        res = float(np.abs(_radials(sec1, M1, c1, dirs @ O.T) - r2).max())
+        res = float(np.abs(_radials(body, (A1 @ O)[None], c1[None], dirs)[0] - r2).max())
         if res < best[0]:
             best = (res, O)
     res, O = best
@@ -348,7 +363,8 @@ def _match_spatial(sec1, M1, c1, sec2, M2, c2):
 
 
 def _normalize(body: Body, planes, cache: dict):
-    """Fill cache[frame bytes] = (section, M, c) for every plane missing from it.
+    """Fill cache[frame bytes] = (frame @ M, frame @ c, M), with {M u + c}
+    the section's inscribed ellipsoid, for every plane missing from it.
 
     Keying on the frame bytes lets equal planes share one solve.  Each
     missing plane is sampled once, in order of first appearance, and all of
@@ -364,23 +380,27 @@ def _normalize(body: Body, planes, cache: dict):
     ells = [section_samples(body, X, 256).functionals for X in todo.values()]
     M, c = max_inscribed_ellipsoid(np.stack(ells))
     for (key, X), Mi, ci in zip(todo.items(), M, c):
-        cache[key] = (SectionBody(body, X), Mi, ci)
+        cache[key] = (X.frame @ Mi, X.frame @ ci, Mi)
+
+
+def _match_sections(body: Body, pairs, cache=None):
+    """[(map, residual, heuristic)] for the sections of every plane pair (X1,
+    X2), maps in frame coordinates: one stacked _normalize, then one lockstep
+    _match_planar search over all 2-plane pairs, or _match_spatial per pair."""
+    dims = {X.dim for pair in pairs for X in pair}
+    if len(dims) != 1 or not dims <= {2, 3}:
+        raise ValueError("sections must share dimension k in {2, 3}")
+    cache = {} if cache is None else cache
+    _normalize(body, itertools.chain.from_iterable(pairs), cache)
+    stack = [cache[X1.frame.tobytes()] + cache[X2.frame.tobytes()] for X1, X2 in pairs]
+    if dims == {2}:
+        return [(L, res, False) for L, res in _match_planar(body, stack)]
+    return [(*_match_spatial(body, *pair), True) for pair in stack]
 
 
 def _section_match(body: Body, X1: Subspace, X2: Subspace, cache=None):
     """(map, residual, heuristic) between two sections in frame coordinates."""
-    if X1.dim != X2.dim or X1.dim not in (2, 3):
-        raise ValueError("sections must share dimension k in {2, 3}")
-
-    cache = {} if cache is None else cache
-    _normalize(body, (X1, X2), cache)
-    sec1, M1, c1 = cache[X1.frame.tobytes()]
-    sec2, M2, c2 = cache[X2.frame.tobytes()]
-    if X1.dim == 2:
-        Lmap, res = _match_planar(sec1, M1, c1, sec2, M2, c2)
-        return Lmap, res, False
-    Lmap, res = _match_spatial(sec1, M1, c1, sec2, M2, c2)
-    return Lmap, res, True
+    return _match_sections(body, [(X1, X2)], cache)[0]
 
 
 def linear_equivalent_sections(body: Body, X1: Subspace, X2: Subspace):
@@ -493,8 +513,8 @@ def banach_classify(
     Pairs checked: the chart base against every plane of a 3-per-axis grid,
     plus 32 random pairs from the region.  All distinct planes of the pairs
     are sampled and normalized (_normalize) in one stacked
-    max_inscribed_ellipsoid call before the first pair is matched.  Any pair
-    beyond tol raises
+    max_inscribed_ellipsoid call, and all planar pairs are then matched in
+    one lockstep search (_match_planar).  Any pair beyond tol raises
     HypothesisFailed carrying the worst pair; on success the report gains
     the equivalence diagnostics (including whether the 3D heuristic matcher
     was involved), and its counters cover the pair checks as well.
@@ -513,11 +533,7 @@ def banach_classify(
     worst_fail = None
     heuristic = False
     with counting() as counts:
-        # every plane is known before the first pair: one stacked solve
-        cache = {}
-        _normalize(body, itertools.chain.from_iterable(pairs), cache)
-        for Xa, Xb in pairs:
-            _, res, heur = _section_match(body, Xa, Xb, cache=cache)
+        for (Xa, Xb), (_, res, heur) in zip(pairs, _match_sections(body, pairs)):
             heuristic = heuristic or heur
             worst_res = max(worst_res, res)
             # a pair replaces the worst only by a clear margin, so rounding-level

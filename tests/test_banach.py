@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -22,14 +24,19 @@ from kkit.banach import (
     verify_R_tangency,
     _barrier_grad_hess,
     _barrier_value,
+    _match_sections,
+    _radials,
     _section_match,
 )
+from kkit.cli import load_body, load_region
 from kkit.classifier import ClassifyOptions, classify
 from kkit.errors import HypothesisFailed
 from kkit.linalg import GrassmannChart, Subspace, random_subspace
 from kkit.tally import counting
 
 from conftest import random_spd
+
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 XY = Subspace.coordinate(3, 0, 1)
 XZ = Subspace.coordinate(3, 0, 2)
@@ -341,7 +348,7 @@ def test_radials_from_an_off_centre_inscribed_ellipse():
     assert np.linalg.norm(c) >= 1e-2
     ang = np.linspace(0.0, 2.0 * np.pi, 90, endpoint=False)
     dirs = np.column_stack([np.cos(ang), np.sin(ang)])
-    got = banach_module._radials(SectionBody(body, XY), M, c, dirs)
+    got = _radials(body, (XY.frame @ M)[None], (XY.frame @ c)[None], dirs)[0]
     # in XY's frame coordinates the section is the triangle: from c along w
     # the boundary is at min over facets a with a.w > 0 of (1 - a.c) / (a.w)
     aw = dirs @ M.T @ tri.facets.T
@@ -353,6 +360,71 @@ def test_radials_from_an_off_centre_inscribed_ellipse():
     w = linear_equivalent_sections(body, XY, tilted)
     assert w is not None and w.residual <= 1e-9
     assert_maps_section(body, XY, tilted, w.map, 1e-9)
+
+
+def triangle_prism():
+    """Triangle x [-1, 1]: the XY section is the triangle, whose inscribed
+    ellipse sits off the origin; the XZ and YZ sections are centred
+    rectangles, because y = 0 and x = 0 cut the triangle in symmetric chords."""
+    tri = np.array([[1.0, -1.0], [-1.0, -1.0], [0.0, 1.0]])
+    return Polytope([[x, y, z] for x, y in tri for z in (-1.0, 1.0)])
+
+
+def banach_pairs(region, seed):
+    """The 41 plane pairs banach_classify checks at this seed."""
+    rng = np.random.default_rng(seed)
+    pairs = [(region.base, region.plane(M)) for M in region.grid(3)]
+    for _ in range(32):
+        pairs.append((region.plane(region.sample(rng)[0]), region.plane(region.sample(rng)[0])))
+    return pairs
+
+
+def assert_carries_signature(body, cache, X1, X2, L, res, tol):
+    """L maps section 1's normalized radial signature onto section 2's: with
+    T = M2^-1 L M1 (a rotation or reflection), r1(T^-1 u) = r2(u) within res +
+    tol on the matcher's circle."""
+    A1, c1, M1 = cache[X1.frame.tobytes()]
+    A2, c2, M2 = cache[X2.frame.tobytes()]
+    T = np.linalg.solve(M2, L @ M1)
+    ang = np.linspace(0.0, 2.0 * np.pi, banach_module.SCAN_OFFSETS, endpoint=False)
+    circle = np.column_stack([np.cos(ang), np.sin(ang)])
+    r1 = _radials(body, (A1 @ np.linalg.inv(T))[None], c1[None], circle)[0]
+    r2 = _radials(body, A2[None], c2[None], circle)[0]
+    assert np.abs(r1 - r2).max() <= res + tol
+
+
+@pytest.mark.parametrize("fixture", [("ellipsoid", "region_xy"), ("mixed", "region_mixed")])
+def test_stacked_match_equals_one_pair_calls(fixture):
+    body = load_body(FIXTURES / f"{fixture[0]}.json")
+    pairs = banach_pairs(load_region(FIXTURES / f"{fixture[1]}.json"), 0)
+    cache = {}
+    stacked = _match_sections(body, pairs, cache=cache)
+    assert len(stacked) == 41
+    for (X1, X2), (L, res, heuristic) in zip(pairs, stacked):
+        assert not heuristic
+        assert abs(_section_match(body, X1, X2, cache=cache)[1] - res) <= 1e-15
+        assert_carries_signature(body, cache, X1, X2, L, res, 1e-12)
+
+
+def test_off_centre_pair_in_a_stack_matches_its_own_call():
+    body = triangle_prism()
+    YZ = Subspace.coordinate(3, 1, 2)
+    tilted = Subspace.span([1.0, 0.0, 0.3], [0.0, 1.0, -0.2])
+    pairs = [(XZ, YZ), (XY, tilted), (YZ, XZ)]
+    cache = {}
+    stacked = _match_sections(body, pairs, cache=cache)
+    def centre(X):
+        return np.linalg.norm(cache[X.frame.tobytes()][1])
+
+    assert centre(XY) >= 1e-2 and centre(XZ) <= 1e-12 and centre(YZ) <= 1e-12
+    L, res, _ = stacked[1]
+    L1, res1, _ = _section_match(body, XY, tilted)
+    assert abs(res - res1) <= 1e-15
+    assert np.abs(L - L1).max() <= 1e-12
+    # the triangle's sections are linear images of it, the rectangles of each other
+    for (X1, X2), (L, res, _) in zip(pairs, stacked):
+        assert res <= 1e-9
+        assert_maps_section(body, X1, X2, L, 1e-9)
 
 
 # -------------------------------------------------------------- tensor algebra
@@ -508,6 +580,14 @@ def test_banach_classify_ellipsoid():
     assert rep.verdict == classify(body, region).verdict
 
 
+def test_banach_classify_over_a_chart_of_3_planes():
+    body = Ellipsoid(np.diag([1.0, 2.0, 3.0, 4.0]))
+    rep = banach_classify(body, GrassmannChart(Subspace.coordinate(4, 0, 1, 2), 0.2))
+    assert rep.verdict == "Ellipsoid"
+    assert rep.diagnostics["equivalence_heuristic"]
+    assert rep.diagnostics["banach_worst_residual"] <= 1e-9
+
+
 def test_banach_classify_box_prism():
     body = box_prism()
     region = GrassmannChart(XY, 0.3)
@@ -575,11 +655,11 @@ def test_banach_worst_pair_keeps_the_first_of_rounding_ties(monkeypatch):
     # residuals that differ only in rounding must not move the witness pair
     seen = []
 
-    def fake_match(body, X1, X2, cache=None):
-        seen.append((X1, X2))
-        return None, 0.5 * (1.0 + 1e-12 * len(seen)), False
+    def fake_match(body, pairs, cache=None):
+        seen.extend(pairs)
+        return [(None, 0.5 * (1.0 + 1e-12 * i), False) for i in range(1, len(pairs) + 1)]
 
-    monkeypatch.setattr(banach_module, "_section_match", fake_match)
+    monkeypatch.setattr(banach_module, "_match_sections", fake_match)
     with pytest.raises(HypothesisFailed) as info:
         banach_classify(Ellipsoid(np.eye(3)), GrassmannChart(XY, 0.2))
     assert len(seen) == 41
