@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.spatial import ConvexHull, QhullError
 
 from .errors import (
     DirectionInGeneratrix,
@@ -133,6 +132,8 @@ class Polytope(Body):
                 (int(np.argmin(V[:, 0])),),
             ]
             return
+        from scipy.spatial import ConvexHull, QhullError
+
         try:
             hull = ConvexHull(V)
         except QhullError as e:

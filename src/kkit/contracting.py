@@ -13,7 +13,6 @@ projector is affine in those coordinates, so the search is one convex solve.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .bodies import Body, Cylinder, Polytope, SectionBody
 from .errors import NonComplementary
@@ -286,6 +285,8 @@ def _cuts(body: Body, X: Subspace, Y0: Subspace, Ms, sample, V):
 def _lp(cost, A, b, bounds):
     """HiGHS solution of min cost . x over A x <= b within bounds, or None;
     its default feasibility tolerance, 1e-7, is coarser than the gaps closed."""
+    from scipy.optimize import linprog
+
     tight = {"primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10}
     res = linprog(cost, A_ub=A, b_ub=b, bounds=bounds, method="highs", options=tight)
     return res.x if res.status == 0 else None

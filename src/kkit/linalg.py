@@ -12,7 +12,6 @@ from pathlib import Path
 
 import numpy as np
 import scipy
-from scipy.special import ndtri
 
 from .errors import NonComplementary, OutOfChart
 
@@ -271,6 +270,8 @@ def _sphere_directions(dim: int, m: int):
         th = np.pi * (1.0 + np.sqrt(5.0)) * i
         D = np.column_stack([r * np.cos(th), r * np.sin(th), z])
     else:
+        from scipy.special import ndtri
+
         # skip=1 drops the all-zero point
         X = ndtri(np.clip(_sobol(dim, m + 4, skip=1), 1e-12, 1.0 - 1e-12))
         nrm = np.linalg.norm(X, axis=1)

@@ -250,6 +250,8 @@ def test_malformed_bodies_are_rejected():
     with pytest.raises(MalformedBody):
         Polytope([[1, 0], [2, 0], [1, 1], [2, 1]])  # origin outside
     with pytest.raises(MalformedBody):
+        Polytope([[1, 0, 0], [0, 1, 0], [-1, -1, 0], [0, -1, 0]])  # coplanar: no hull
+    with pytest.raises(MalformedBody):
         PBall(0.5, np.eye(2))
     with pytest.raises(MalformedBody):
         PBall(2.0, np.zeros((2, 2)))

@@ -1,4 +1,6 @@
 import json
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -33,6 +35,35 @@ def run(tmp_path, *argv):
     report = tmp_path / "report.json"
     code = main([str(a) for a in argv] + ["--report", str(report)])
     return code, json.loads(report.read_text())
+
+
+def test_warm_classify_and_section_load_no_lp_hull_or_quantile(tmp_path):
+    # a fresh process: conftest imports scipy.optimize into this one
+    src = Path(classifier_module.__file__).resolve().parents[1]
+    code = f"""
+import sys
+sys.path.insert(0, {str(src)!r})
+import numpy as np
+from kkit.bodies import Ellipsoid
+from kkit.classifier import classify
+from kkit.cli import main
+from kkit.linalg import GrassmannChart, Subspace
+
+def loaded(*names):
+    return [m for m in names if m in sys.modules]
+
+rep = classify(Ellipsoid(np.diag([1.0, 2.0, 3.0])), GrassmannChart(Subspace.coordinate(3, 0, 1), 0.2))
+assert rep.verdict == "Ellipsoid", rep.verdict
+print(loaded("scipy.optimize", "scipy.spatial"))
+argv = ["section", {str(FIX / "ellipsoid.json")!r}, {str(FIX / "plane_xy.json")!r}]
+argv += ["--report", {str(tmp_path / "report.json")!r}, "--svg", {str(tmp_path / "section.svg")!r}]
+assert main(argv) == 0
+print(loaded("scipy.optimize", "scipy.spatial", "scipy.special"))
+"""
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert out.stdout.splitlines() == ["[]", "[]"]
+    assert json.loads((tmp_path / "report.json").read_text())["verdict"]
+    assert (tmp_path / "section.svg").stat().st_size > 0
 
 
 def test_round_trip_gauge():

@@ -247,12 +247,13 @@ def test_sphere_directions_match_the_normal_quantile_of_scipys_sobol(dim):
     assert sphere_directions(dim, 4096).tobytes() == want.tobytes()
 
 
-def test_kkit_does_not_import_scipy_stats():
-    # scipy.stats costs about half a second of every CLI start-up
+def test_kkit_import_loads_no_scipy_optimize_spatial_special_or_stats():
+    # each costs start-up on every CLI call; the work that needs one imports it
     src = str(Path(linalg_module.__file__).resolve().parents[1])
     code = (
         f"import sys; sys.path.insert(0, {src!r}); import kkit, kkit.cli; "
-        "print(sorted(m for m in sys.modules if m.split('.')[:2] == ['scipy', 'stats']))"
+        "heavy = [['scipy', m] for m in ('optimize', 'spatial', 'special', 'stats')]; "
+        "print(sorted(m for m in sys.modules if m.split('.')[:2] in heavy))"
     )
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
