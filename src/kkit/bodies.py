@@ -7,6 +7,11 @@ non-symmetric bodies are first class throughout.  Both come in batches: a
 subclass implements gauge_many and, when it has a closed form, a raw
 _support_many; Body derives the scalar gauge, the boundary check and the
 normalization from those.
+
+Body.smooth says whether the gauge is differentiable off the origin and its
+generatrix, so that certificates may climb its gradient: True for Ellipsoid
+and for PBall with p > 1, inherited through LinearImage, SectionBody and
+Cylinder, and False for Polytope, Intersection and anything else.
 """
 
 from dataclasses import dataclass
@@ -35,6 +40,7 @@ class Body:
     """Base class; subclasses implement the vectorized gauge_many."""
 
     dim: int
+    smooth = False
 
     def gauge(self, v) -> float:
         return float(self.gauge_many(np.asarray(v, dtype=float)[None])[0])
@@ -80,6 +86,8 @@ class Body:
 
 class Ellipsoid(Body):
     """{v : v.Q v <= 1} for symmetric positive definite Q."""
+
+    smooth = True
 
     def __init__(self, Q):
         Q = np.asarray(Q, dtype=float)
@@ -170,6 +178,8 @@ class PBall(Body):
         self.Ainv = np.linalg.inv(A)
         self.dim = A.shape[0]
 
+    smooth = property(lambda self: self.p > 1.0)
+
     def gauge_many(self, V):
         U = np.asarray(V, dtype=float) @ self.Ainv.T
         return np.linalg.norm(U, ord=self.p, axis=1)
@@ -200,6 +210,8 @@ class Cylinder(Body):
         self._coord_proj = plane.frame.T @ P
         self.dim = plane.ambient
 
+    smooth = property(lambda self: self.base.smooth)
+
     def gauge_many(self, V):
         return self.base.gauge_many(np.asarray(V, dtype=float) @ self._coord_proj.T)
 
@@ -221,6 +233,8 @@ class LinearImage(Body):
         self.Ainv = np.linalg.inv(A)
         self.inner = inner
         self.dim = A.shape[0]
+
+    smooth = property(lambda self: self.inner.smooth)
 
     def gauge_many(self, V):
         return self.inner.gauge_many(np.asarray(V, dtype=float) @ self.Ainv.T)
@@ -273,6 +287,8 @@ class SectionBody(Body):
         self.inner = inner
         self.plane = plane
         self.dim = plane.dim
+
+    smooth = property(lambda self: self.inner.smooth)
 
     def gauge_many(self, U):
         return self.inner.gauge_many(np.asarray(U, dtype=float) @ self.plane.frame.T)

@@ -3,10 +3,12 @@
 A plane X is contracting with direction Y when the oblique projection onto X
 along Y does not increase the gauge.  For polytopes the test is exact via the
 vertex images; for everything else the violation is maximized over a dense
-deterministic boundary sample and refined by local search from the strongest
-sample points, in one lockstep search over all pairs of a certify_planes
-call.  Directions are searched on a GrassmannChart of (n-k)-planes over the
-orthogonal complement of X, whose graph coordinates run along X; the
+deterministic boundary sample and refined from the strongest sample points,
+all pairs of a certify_planes call in one lockstep search: a BFGS ascent on
+the sphere, with the analytic gradient from the support functionals, for
+smooth bodies (Body.smooth), and a pattern search for kinked ones, whose
+gradients jump.  Directions are searched on a GrassmannChart of (n-k)-planes
+over the orthogonal complement of X, whose graph coordinates run along X; the
 projector is affine in those coordinates, so the search is one convex solve.
 """
 
@@ -35,15 +37,20 @@ SEARCH_SAMPLES = 512
 _FLAT_TOL = 1e-9
 # Distinct minimizers are deduplicated at this principal angle.
 DEDUP_ANGLE = 1e-4
-# Strongest certificate samples refined by pattern search.
+# Strongest certificate samples the refinement starts from.
 REFINE_TOP = 8
 # Half-width of the chart box the direction search starts in; its master LP
 # doubles the box whenever the model's minimum lies on the box's face.
 SEARCH_SPAN = 1.5
-# Pattern-search step of the certificate refinement.  It need only cover the
-# sample spacing the seeds came from; the certificate sampler is dense enough
-# that 0.05 reaches the true argmax.
+# First step of the certificate refinement: the pattern search's coordinate
+# step, and the length of the BFGS ascent's first step and of its probes along
+# the plane.  It need only cover the sample spacing the seeds came from; the
+# certificate sampler is dense enough that 0.05 reaches the true argmax.
 REFINE_STEP = 0.05
+# Lockstep iteration cap of the BFGS refinement, and the gain it treats as
+# rounding: the violation is a gauge ratio of order 1, less 1.
+ASCENT_STEPS = 100
+ROUNDING = 1e-16
 # Directions per ring of the plane-hugging layers.
 LAYER_RING = 32
 # Level bundle solve of the direction search: cuts per evaluated point, the
@@ -120,10 +127,97 @@ def _refine_violation(body: Body, P, seeds, start):
         if not live.all():
             out_pts[ids[~live]], out_vals[ids[~live]] = pts[~live], vals[~live]
             ids, pts, vals, moves, hits, P = (a[live] for a in (ids, pts, vals, moves, hits, P))
-    rows, i = np.arange(nb), np.argmax(out_vals, axis=1)
-    top = out_vals[rows, i] >= start
-    worst = np.where(top[:, None], out_pts[rows, i], seeds[:, 0])
-    return np.where(top, out_vals[rows, i], start), worst
+    return _best(out_vals, out_pts, seeds, start)
+
+
+def _ascend(body: Body, P, seeds, start):
+    """BFGS ascent of f(u) = g(Pu)/g(u) - 1 on the unit sphere, for smooth
+    bodies, with _refine_violation's arguments and result.  Every seed of
+    every row climbs in lockstep with its own inverse Hessian and Armijo
+    backtracking, until its model predicts a rounding gain for the trial
+    step or ASCENT_STEPS run out.  Flat seeds keep their sampled value."""
+    nb, S, n = seeds.shape
+
+    def tangent(V, U):
+        return V - (V * U).sum(axis=1)[:, None] * U
+
+    def evaluate(U, Ps):
+        PU = np.einsum("bij,bj->bi", Ps, U)
+        gu, gp = body.gauge_many(np.concatenate([U, PU])).reshape(2, -1)
+        f = np.where(gu > _FLAT_TOL, gp / np.maximum(gu, _FLAT_TOL) - 1.0, gp)
+        return f, (gu > _FLAT_TOL) & (gp > _FLAT_TOL), (U, PU, gu, gp, Ps)
+
+    def gradient(U, PU, gu, gp, Ps):
+        # (P^T l(Pu) - l(u) g(Pu) / g(u)) / g(u), l the support functional
+        # normalized at the boundary point
+        B = np.concatenate([U / gu[:, None], PU / gp[:, None]])
+        L = body._support_many(B)
+        lu, lp = (L / (L * B).sum(axis=1)[:, None]).reshape(2, -1, n)
+        return tangent((np.einsum("bji,bj->bi", Ps, lp) - (gp / gu)[:, None] * lu) / gu[:, None], U)
+
+    def direction(H, G, u):
+        d = tangent(np.einsum("bij,bj->bi", H, G), u)
+        return d, (G * d).sum(axis=1)
+
+    u = seeds.reshape(-1, n) / np.linalg.norm(seeds, axis=2).reshape(-1, 1)
+    vals, ok, terms = evaluate(u, np.repeat(P, S, axis=0))
+    pts, ids = u.copy(), np.flatnonzero(ok)
+    u, f, Ps, G = u[ids], vals[ids], terms[-1][ids], gradient(*(a[ids] for a in terms))
+    # the first step is REFINE_STEP long
+    H = (REFINE_STEP / np.maximum(np.linalg.norm(G, axis=1), 1e-300))[:, None, None] * np.eye(n)
+    t = np.ones(len(ids))
+    for _ in range(ASCENT_STEPS):
+        d, gain = direction(H, G, u)
+        # near a contracting pair f peaks on a ridge along the plane, as flat
+        # as the violation is small, whose curvature the model learns only
+        # from a long step along it: once the model predicts no gain, add a
+        # REFINE_STEP long step along the plane's part of the gradient
+        stall = gain <= ROUNDING
+        if stall.any():
+            p = tangent(np.einsum("bij,bj->bi", Ps[stall], G[stall]), u[stall])
+            p /= np.maximum(np.linalg.norm(p, axis=1), 1e-300)[:, None]
+            pg = np.abs((p * G[stall]).sum(axis=1))
+            w = REFINE_STEP / np.where(REFINE_STEP * pg > ROUNDING, pg, np.inf)
+            H[stall] += w[:, None, None] * p[:, :, None] * p[:, None, :]
+            d, gain = direction(H, G, u)
+        live = t * gain > ROUNDING
+        if not live.all():
+            vals[ids[~live]], pts[ids[~live]] = f[~live], u[~live]
+            ids, u, f, Ps, G, H, t, d, gain = (a[live] for a in (ids, u, f, Ps, G, H, t, d, gain))
+            if not len(ids):
+                break
+        cand = u + t[:, None] * d
+        fc, ok, terms = evaluate(cand / np.linalg.norm(cand, axis=1)[:, None], Ps)
+        acc = ok & (fc >= f + 1e-4 * t * gain)
+        # backtrack to the peak of the quadratic through f, its slope and fc
+        drop = np.where(ok & ~acc, f + t * gain - fc, np.inf)
+        t = np.where(acc, 1.0, np.clip(0.5 * gain * t * t / drop, 1e-3 * t, 0.5 * t))
+        if acc.any():
+            c, Gc = terms[0][acc], gradient(*(a[acc] for a in terms))
+            # the step and the change in -grad f, both moved to c's tangent space
+            s, y = tangent(c - u[acc], c), tangent(G[acc] - Gc, c)
+            u[acc], f[acc], G[acc] = c, fc[acc], Gc
+            sy = (s * y).sum(axis=1)
+            up = sy > 0
+            rows, s, y, sy = np.flatnonzero(acc)[up], s[up], y[up], sy[up, None, None]
+            V = np.eye(n) - s[:, :, None] * y[:, None, :] / sy
+            H[rows] = V @ H[rows] @ V.transpose(0, 2, 1) + s[:, :, None] * s[:, None, :] / sy
+    vals[ids], pts[ids] = f, u
+    return _best(vals.reshape(nb, S), pts.reshape(nb, S, n), seeds, start)
+
+
+def _best(vals, pts, seeds, start):
+    """The refined maximum and its point per row, or start at seeds[:, 0] if
+    no refined value reaches it."""
+    rows, i = np.arange(len(vals)), np.argmax(vals, axis=1)
+    top = vals[rows, i] >= start
+    worst = np.where(top[:, None], pts[rows, i], seeds[:, 0])
+    return np.where(top, vals[rows, i], start), worst
+
+
+def _refine(body: Body, P, seeds, start):
+    """The refinement _certify gives body's sampled certificates."""
+    return (_ascend if body.smooth else _refine_violation)(body, P, seeds, start)
 
 
 def _test_points(body: Body, dirs):
@@ -143,16 +237,17 @@ def _certify(body: Body, pairs, dirs, tol: float):
     certs, todo = [], []
     for X, Y, P in pairs:
         v = body.gauge_many(pts @ P.T) - base
-        order = np.argsort(v)[::-1]
+        top = np.argpartition(v, -min(REFINE_TOP, len(v)))[-REFINE_TOP:]
+        order = top[np.argsort(v[top])[::-1]]
         viol = float(v[order[0]])
         certs.append(ContractionCertificate(X, Y, viol, viol <= tol, pts[order[0]]))
         # polytope vertices are exact, and a catastrophic sampled violation
         # already decides the certificate
         if not isinstance(body, Polytope) and viol <= max(100.0 * tol, 0.1):
-            todo.append((certs[-1], P, pts[order[:REFINE_TOP]], viol))
+            todo.append((certs[-1], P, pts[order], viol))
     if todo:
         pending, Ps, seeds, start = zip(*todo)
-        viols, worst = _refine_violation(body, *map(np.array, (Ps, seeds, start)))
+        viols, worst = _refine(body, *map(np.array, (Ps, seeds, start)))
         for cert, viol, w in zip(pending, viols.tolist(), worst):
             cert.violation, cert.holds, cert.worst = viol, viol <= tol, w
     return certs

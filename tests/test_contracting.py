@@ -1,8 +1,11 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 import kkit.contracting as contracting_module
-from kkit.bodies import Cylinder, Ellipsoid, Intersection, LinearImage, PBall, Polytope
+from kkit.bodies import Cylinder, Ellipsoid, Intersection, LinearImage, PBall, Polytope, SectionBody
+from kkit.cli import load_body
 from kkit.contracting import (
     certify_planes,
     cylinder_contains,
@@ -17,6 +20,7 @@ from conftest import disk_cylinder, random_polytope, random_spd, rng
 
 XY = Subspace.coordinate(3, 0, 1)
 Z = Subspace.coordinate(3, 2)
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 
 def q_complement(Q, X):
@@ -314,8 +318,8 @@ def test_batch_violation_matches_row_loop():
 
 
 def _cylinder_contains_by_own_sampler(body, X, Y, tol=contracting_module.DEFAULT_TOL):
-    """cylinder_contains as it stood with its own vertex branch, flat split,
-    seed pick and refinement."""
+    """cylinder_contains as it stood with its own vertex branch, flat split
+    and seed pick, refined as _certify refines the body."""
     P = projector(X, Y)
     if isinstance(body, Polytope):
         V = body.vertices
@@ -330,7 +334,7 @@ def _cylinder_contains_by_own_sampler(body, X, Y, tol=contracting_module.DEFAULT
     if flat.size:
         worst = max(worst, float(np.max(body.gauge_many(flat @ P.T))))
     seeds = pts[np.argsort(body.gauge_many(pts @ P.T))[::-1][: contracting_module.REFINE_TOP]]
-    refined, _ = contracting_module._refine_violation(body, P[None], seeds[None], np.array([worst]))
+    refined, _ = contracting_module._refine(body, P[None], seeds[None], np.array([worst]))
     return max(worst, refined[0]) <= tol
 
 
@@ -479,3 +483,114 @@ def test_certify_planes_matches_is_contracting_bit_for_bit(box3):
             else:
                 kinds.add("catastrophic" if want.violation > 0.1 else "marginal")
     assert kinds == {"holds", "marginal", "catastrophic", "not complementary"}
+
+
+# ------------------------------------------------- smooth-body refinement
+
+
+def _sampled_seeds(body, P, m):
+    """_certify's seeds and start value over an m-direction boundary sample."""
+    pts, base = contracting_module._boundary_sample(body, sphere_directions(body.dim, m))
+    v = body.gauge_many(pts @ P.T) - base
+    top = np.argpartition(v, -contracting_module.REFINE_TOP)[-contracting_module.REFINE_TOP :]
+    order = top[np.argsort(v[top])[::-1]]
+    return pts[order], float(v[order[0]])
+
+
+def _near_contracting_pair(r, body, k):
+    """A contracting pair of an ellipsoid or p-ball body, both planes nudged by
+    1e-8..1e-1: the violations run from rounding to a few 1e-2."""
+    n = body.dim
+    if isinstance(body, PBall):
+        # A maps a coordinate split of the p-ball to a contracting pair
+        idx = r.permutation(n)
+        X, Y = body.A[:, idx[:k]], body.A[:, idx[k:]]
+    else:
+        Q = body.Q if isinstance(body, Ellipsoid) else body.Ainv.T @ body.inner.Q @ body.Ainv
+        X = r.normal(size=(n, k))
+        Y = np.linalg.solve(Q, Subspace(X).orthogonal_complement().frame)
+    X = Subspace(X + 10 ** r.uniform(-8, -1) * r.normal(size=X.shape))
+    Y = Subspace(Y + 10 ** r.uniform(-8, -1) * r.normal(size=Y.shape))
+    return X, Y
+
+
+def test_smooth_refinement_never_falls_below_the_pattern_search():
+    r = rng(34)
+    names = ("ellipsoid", "sheared", "pball", "pball_near2")
+    bodies = [load_body(FIXTURES / f"{name}.json") for name in names]
+    bodies += [Ellipsoid(random_spd(r, n, cond=float(r.uniform(2.0, 50.0)))) for n in (3, 4, 5)]
+    lowest = np.inf
+    for body in bodies:
+        assert body.smooth
+        Ps, seeds, start = [], [], []
+        for _ in range(24):
+            X, Y = _near_contracting_pair(r, body, int(r.integers(2, body.dim)))
+            Ps.append(projector(X, Y))
+            top, first = _sampled_seeds(body, Ps[-1], 512)
+            seeds.append(top)
+            start.append(first)
+        args = (body, np.array(Ps), np.array(seeds), np.array(start))
+        new = contracting_module._ascend(*args)[0]
+        ref = contracting_module._refine_violation(*args)[0]
+        assert np.all(new >= ref - 1e-12), (body, np.min(new - ref))
+        lowest = min(lowest, float(new.min()))
+    # the pairs reach down to the flat ridges of nearly contracting pairs
+    assert lowest < 1e-10
+
+
+def test_is_contracting_meets_the_exact_ellipsoid_violation():
+    # for {v . Q v <= 1} the violation is |R P R^-1|_2 - 1 with Q = R^T R
+    r = rng(35)
+    checked = 0
+    for i in range(150):
+        n, kind = int(r.integers(3, 6)), i % 3
+        A = r.normal(size=(n, n)) + 2.0 * np.eye(n)
+        Ainv = np.linalg.inv(A)
+        if kind == 0:
+            Q = random_spd(r, n, cond=20.0)
+            body = Ellipsoid(Q)
+        elif kind == 1:
+            Q0 = random_spd(r, n, cond=20.0)
+            body, Q = LinearImage(A, Ellipsoid(Q0)), Ainv.T @ Q0 @ Ainv
+        else:
+            body, Q = PBall(2.0, A), Ainv.T @ Ainv
+        X = Subspace(r.normal(size=(n, int(r.integers(2, n)))))
+        Y = np.linalg.solve(Q, X.orthogonal_complement().frame)
+        Y = Subspace(Y + 10 ** r.uniform(-6, -2) * r.normal(size=Y.shape))
+        P = projector(X, Y)
+        R = np.linalg.cholesky(Q).T
+        exact = np.linalg.norm(np.linalg.solve(R.T, (R @ P).T).T, 2) - 1.0
+        # above 0.1 the sample alone decides the certificate, unrefined
+        if not 1e-6 < exact <= 0.1:
+            continue
+        got = is_contracting(body, X, Y).violation
+        # both sides round 1 + violation, a few 1e-16 each
+        assert abs(got - exact) <= 1e-10 * exact + 1e-15, (i, got, exact)
+        checked += 1
+    assert checked >= 30
+
+
+def test_smooth_bodies_climb_and_kinked_ones_keep_the_pattern_search(box3):
+    r = rng(36)
+    A = r.normal(size=(3, 3)) + 2.0 * np.eye(3)
+    ell = Ellipsoid(random_spd(r, 3, cond=20.0))
+    disc = Cylinder(Ellipsoid(np.eye(2)), XY, Z)
+    for body in (ell, PBall(3.5, A), LinearImage(A, ell), SectionBody(ell, XY), disc):
+        assert body.smooth is True
+    kinked = Intersection([Ellipsoid(np.diag([1.0, 2.0, 3.0])), box3])
+    for body in (PBall(1.0, A), box3, kinked, LinearImage(A, box3)):
+        assert body.smooth is False
+    # pairs whose sampled violations stay below 0.1, so all are refined
+    tilted = Subspace.span([1.0, 0.0, 0.1], [0.0, 1.0, -0.05])
+    planes, dirs = [XY, tilted, XY], [Z, Z, Subspace.span([0.1, 0.0, 1.0])]
+    certs = certify_planes(kinked, planes, dirs)
+    refined = 0
+    for X, Y, cert in zip(planes, dirs, certs):
+        P = projector(X, Y)
+        seeds, start = _sampled_seeds(kinked, P, contracting_module.CERT_SAMPLES)
+        viol, worst = contracting_module._refine_violation(
+            kinked, P[None], seeds[None], np.array([start])
+        )
+        assert cert.violation == viol[0] and cert.worst.tobytes() == worst[0].tobytes()
+        refined += viol[0] > start
+    assert refined
