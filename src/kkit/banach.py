@@ -172,7 +172,9 @@ def max_inscribed_ellipsoid(functionals):
     Vandenberghe, Convex Optimization, sections 8.4.2 and 11.6).  Damped
     Newton follows its minimizer in x = (upper-triangle coordinates of M, c)
     over MU_STAGES, one closed-form gradient and Hessian (_barrier_grad_hess)
-    and an Armijo line search per step.  An intermediate stage only
+    and an Armijo line search per step.  The accepted trial point is
+    bit-equal to the next iterate, so its value is carried over, and f is
+    evaluated afresh only where a stage begins.  An intermediate stage only
     warm-starts the next, so it ends once the squared Newton decrement of
     f / mu is at most 0.1; every stage ends when the step vanishes.  The
     problems of a stack run in lockstep, each at its own stage, and a
@@ -189,6 +191,7 @@ def max_inscribed_ellipsoid(functionals):
     x = np.zeros((len(stack), p + k))
     x[:, :p] = (i == j) * (0.45 / np.linalg.norm(stack, axis=2).max(axis=1))[:, None]
     stage = np.zeros(len(stack), dtype=int)
+    fx = np.full(len(stack), np.nan)  # barrier value at x, nan when unknown at its stage
     live = np.arange(len(stack))
     while live.size:
         L, X, mu = stack[live], x[live], MU_STAGES[stage[live]]
@@ -199,19 +202,24 @@ def max_inscribed_ellipsoid(functionals):
         ends = (mu > MU_STAGES[-1]) & (-slope <= 0.1 * mu)
         # Armijo search on the rows that step, each evaluated until it passes
         rows = np.flatnonzero(~ends)
-        f = _barrier_value(L[rows], E, X[rows], mu[rows])
+        f = fx[live[rows]]
+        new = np.flatnonzero(np.isnan(f))
+        f[new] = _barrier_value(L[rows[new]], E, X[rows[new]], mu[rows[new]])
         alpha = np.ones(len(rows))
         search = np.arange(len(rows))
         while search.size:
             t = rows[search]
             trial = _barrier_value(L[t], E, X[t] + alpha[search, None] * step[t], mu[t])
-            search = search[trial > f[search] + 0.25 * alpha[search] * slope[t]]
+            fail = trial > f[search] + 0.25 * alpha[search] * slope[t]
+            f[search[~fail]] = trial[~fail]
+            search = search[fail]
             alpha[search] *= 0.5
         dx = alpha[:, None] * step[rows]
         X[rows] += dx
-        x[live] = X
+        x[live], fx[live[rows]] = X, f
         ends[rows] = np.linalg.norm(dx, axis=1) <= 1e-15 * (1.0 + np.linalg.norm(X[rows], axis=1))
         stage[live[ends]] += 1
+        fx[live[ends]] = np.nan
         live = live[stage[live] < len(MU_STAGES)]
     M, c = _unpack(E, x)
     return M.reshape(ell.shape[:-2] + (k, k)), c.reshape(ell.shape[:-2] + (k,))
@@ -242,6 +250,9 @@ def _radials(body: Body, maps, centres, dirs):
     for _ in range(80):
         mid = 0.5 * (t_lo + t_hi)
         inside = body.gauge_many(C + mid[:, None] * W) <= 1.0
+        # a step that moves no bracket end repeats itself from then on
+        if np.array_equal(mid, np.where(inside, t_lo, t_hi)):
+            break
         t_lo = np.where(inside, mid, t_lo)
         t_hi = np.where(inside, t_hi, mid)
     r[off] = (0.5 * (t_lo + t_hi)).reshape(-1, m)
@@ -253,27 +264,55 @@ def _rot(a):
     return np.moveaxis(np.array([[c, -s], [s, c]]), (0, 1), (-2, -1))
 
 
+def _scan(r, s):
+    """max_j |r[(j + l) % N] - s[j]| for every grid shift l, inf where pruned.
+
+    The maximum over every 8th j bounds each shift from below, so only the
+    shifts whose bound is at most the value at the bound's argmin can hold
+    the minimum.  Those are evaluated in full, with the same arithmetic as an
+    unpruned scan: the argmin and its ties keep their values and indices.
+    """
+    win = sliding_window_view(np.concatenate([r, r]), len(s))[: len(s)]
+    lb = np.abs(win[:, ::8] - s[::8]).max(axis=1)
+    cand = np.flatnonzero(lb <= np.abs(win[np.argmin(lb)] - s).max())
+    d = win[cand]
+    d -= s
+    out = np.full(len(s), np.inf)
+    out[cand] = np.abs(d, out=d).max(axis=1)
+    return out
+
+
+def _subscan(R, s, base):
+    """Residuals [o, REFINE_SUB + m], |m| <= REFINE_SUB, of r1(theta_j + shift) (o = 0) or
+    r1(shift - theta_j) (o = 1) against s[j] at the shift (base[o] + m / REFINE_SUB) step.
+    With R[q][i] = r1((i + q / REFINE_SUB) step) and m = q + REFINE_SUB w, 0 <= q < REFINE_SUB,
+    these read R[q][(j + base + w) % N] and R[q][(base + w - j) % N]."""
+    m = np.arange(2 * REFINE_SUB + 1) - REFINE_SUB
+    q, w = m % REFINE_SUB, m // REFINE_SUB
+    j = np.arange(len(s))
+    idx = np.stack([(base[0] + w)[:, None] + j, (base[1] + w)[:, None] - j]) % len(s)
+    return np.abs(R[q[:, None], idx] - s).max(axis=2)
+
+
 def _match_planar(body: Body, pairs):
     """Best rotation/reflection aligning the normalized planar signatures of
     every pair (A1, c1, M1, A2, c2, M2) of a stack, each (A, c, M) as cached
     by _normalize: [(map in frame coordinates, residual)] per pair.
 
-    Each pair gets a coarse scan over grid shifts (windows of the doubled
-    signature, exact on the shared angle grid) and a sub-grid scan with true
-    radial re-evaluation.  Golden-section refinement of the shift then matches
-    all pairs in one lockstep search, one radial evaluation of the whole stack
-    per orientation and step.
+    Each pair gets a coarse scan over grid shifts (_scan) and a sub-grid scan
+    (_subscan) that reads the sub-shifts of both orientations from one radial
+    evaluation on the offset grids.  Golden-section refinement of the shift
+    then matches all pairs in one lockstep search, one radial evaluation of
+    the whole stack per orientation and step.
     """
+    step = 2.0 * np.pi / SCAN_OFFSETS
     ang = np.linspace(0.0, 2.0 * np.pi, SCAN_OFFSETS, endpoint=False)
     circle = np.column_stack([np.cos(ang), np.sin(ang)])
+    fine = step * (np.arange(1, REFINE_SUB)[:, None] / REFINE_SUB + np.arange(SCAN_OFFSETS))
+    offsets = np.column_stack([np.cos(fine.ravel()), np.sin(fine.ravel())])
     A1, c1, M1, A2, c2, M2 = map(np.stack, zip(*pairs))
     s2 = np.empty((len(pairs), SCAN_OFFSETS))
     flips = np.array([1.0, -1.0])
-
-    def scan(r, s):
-        """max_j |r[(j + l) % SCAN_OFFSETS] - s[j]| for every grid shift l."""
-        d = sliding_window_view(np.concatenate([r, r]), SCAN_OFFSETS)[:SCAN_OFFSETS] - s
-        return np.abs(d, out=d).max(axis=1)
 
     def residuals(phis, rows):
         """Residual of pair rows[i] at shift phis[j, i] in orientation flips[j], one
@@ -288,21 +327,22 @@ def _match_planar(body: Body, pairs):
     # refinement from one of them can stall.  The residual is flat wherever
     # its worst mismatch sits on a circular arc, and golden section started
     # across such a plateau can stall above the minimum, so a sub-grid scan
-    # within one grid step first picks the lowest basin.  The scans run one
-    # pair and one orientation at a time: a joint scan would multiply the
-    # largest radial batch, and with it the peak memory.  Both coarse scans of
-    # a pair come first: their 720 x 720 arrays, allocated back to back, do not
-    # fragment the heap.
-    step = 2.0 * np.pi / SCAN_OFFSETS
+    # within one grid step first picks the lowest basin.  The coarse scans
+    # evaluate only the shifts that a lower bound leaves open, and every
+    # sub-shift is an offset grid plus a whole-grid shift, so one radial call
+    # on the offset grids serves both orientations.  The scans run one pair
+    # at a time: a joint scan would multiply the largest radial batch, and
+    # with it the peak memory.
     sub = step * np.linspace(-1.0, 1.0, 2 * REFINE_SUB + 1)
     phi0 = np.empty((2, len(pairs)))
     for i in range(len(pairs)):
         r1, s2[i] = _radials(body, np.stack([A1[i], A2[i]]), np.stack([c1[i], c2[i]]), circle)
         # r1(theta_j + l d) = r1[(j + l) % SCAN_OFFSETS] on the shared grid, and the
         # reflection r1(-theta_j + l d) = r1[::-1][(j - l - 1) % SCAN_OFFSETS]
-        coarse = np.stack([scan(r1, s2[i]), scan(r1[::-1], s2[i])[::-1]])
-        phis = ang[np.argmin(coarse, axis=1)][:, None] + sub
-        phi0[:, i] = phis[[0, 1], np.argmin(residuals(phis, np.full(len(sub), i)), axis=1)]
+        base = np.argmin([_scan(r1, s2[i]), _scan(r1[::-1], s2[i])[::-1]], axis=1)
+        R = np.vstack([r1, _radials(body, A1[i][None], c1[i][None], offsets).reshape(fine.shape)])
+        phis = ang[base][:, None] + sub
+        phi0[:, i] = phis[[0, 1], np.argmin(_subscan(R, s2[i], base), axis=1)]
     gr = (np.sqrt(5.0) - 1.0) / 2.0
     rows = np.arange(len(pairs))
     a, b = phi0 - step / REFINE_SUB, phi0 + step / REFINE_SUB

@@ -26,7 +26,10 @@ from kkit.banach import (
     _barrier_value,
     _match_sections,
     _radials,
+    _rot,
+    _scan,
     _section_match,
+    _subscan,
 )
 from kkit.cli import load_body, load_region
 from kkit.classifier import ClassifyOptions, classify
@@ -200,6 +203,29 @@ def test_inscribed_solves_count_sections():
     assert counts["inscribed_solves"] == 4
 
 
+def test_inscribed_ellipsoid_evaluates_each_barrier_point_once(monkeypatch):
+    # the accepted Armijo trial is the next iterate, so its value is carried
+    # and no (section, point, barrier weight) is evaluated twice
+    keys = []
+    value = banach_module._barrier_value
+
+    def record(ell, E, x, mu):
+        for row in zip(ell, x, np.broadcast_to(mu, len(x))):
+            keys.append(b"".join(a.tobytes() for a in row))
+        return value(ell, E, x, mu)
+
+    body = load_body(FIXTURES / "mixed.json")
+    pairs = banach_pairs(load_region(FIXTURES / "region_mixed.json"), 0)
+    ells = [section_samples(body, X, 256).functionals for pair in pairs for X in pair]
+    # symmetric planes of the body cut sections with bit-equal functionals:
+    # keep one of each, so that a repeated key is a repeated evaluation
+    ells = np.stack(list({e.tobytes(): e for e in ells}.values()))
+    monkeypatch.setattr(banach_module, "_barrier_value", record)
+    max_inscribed_ellipsoid(ells)
+    assert len(ells) >= 60 and len(keys) >= 100 * len(ells)
+    assert len(set(keys)) == len(keys)
+
+
 def random_section_body(r, n):
     """A random body from one of five families, both drawn from r."""
     A = random_spd(r, n, cond=20.0) @ np.linalg.qr(r.normal(size=(n, n)))[0]
@@ -339,6 +365,20 @@ def test_equivalence_spatial_rejects_mixed():
     assert linear_equivalent_sections(mixed, X1, X2) is None
 
 
+def full_bisection(body, A, c, dirs):
+    """Radial extents from c along A dirs by doubling, then 80 bisection steps."""
+    W = dirs @ A.T
+    t_hi = np.ones(len(W))
+    while (inside := body.gauge_many(c + t_hi[:, None] * W) < 1.0).any():
+        t_hi[inside] *= 2.0
+    t_lo = np.zeros(len(W))
+    for _ in range(80):
+        mid = 0.5 * (t_lo + t_hi)
+        inside = body.gauge_many(c + mid[:, None] * W) <= 1.0
+        t_lo, t_hi = np.where(inside, mid, t_lo), np.where(inside, t_hi, mid)
+    return 0.5 * (t_lo + t_hi)
+
+
 def test_radials_from_an_off_centre_inscribed_ellipse():
     # a triangle's inscribed ellipse sits off the origin, so its radial
     # extents come from the general-centre bisection
@@ -355,6 +395,13 @@ def test_radials_from_an_off_centre_inscribed_ellipse():
     ratio = (1.0 - tri.facets @ c) / np.where(aw > 0.0, aw, 1.0)
     exact = np.where(aw > 0.0, ratio, np.inf).min(axis=1)
     assert np.abs(got / exact - 1.0).max() <= 1e-12
+    # the bisection stops at its fixed point, with the bytes of all 80 steps
+    assert got.tobytes() == full_bisection(body, XY.frame @ M, XY.frame @ c, dirs).tobytes()
+    calls = []
+    gauge = body.gauge_many
+    body.gauge_many = lambda V: calls.append(1) or gauge(V)
+    _radials(body, (XY.frame @ M)[None], (XY.frame @ c)[None], dirs)
+    assert len(calls) <= 60
     # sections of a cylinder are linear images of its base
     tilted = Subspace.span([1.0, 0.0, 0.3], [0.0, 1.0, -0.2])
     w = linear_equivalent_sections(body, XY, tilted)
@@ -391,6 +438,61 @@ def assert_carries_signature(body, cache, X1, X2, L, res, tol):
     r1 = _radials(body, (A1 @ np.linalg.inv(T))[None], c1[None], circle)[0]
     r2 = _radials(body, A2[None], c2[None], circle)[0]
     assert np.abs(r1 - r2).max() <= res + tol
+
+
+def normalized_signatures(body, X1, X2, dirs):
+    """Radial signatures of the normalized sections of X1 and X2 along dirs."""
+    cache = {}
+    _section_match(body, X1, X2, cache=cache)
+    (A1, c1, _), (A2, c2, _) = (cache[X.frame.tobytes()] for X in (X1, X2))
+    return _radials(body, np.stack([A1, A2]), np.stack([c1, c2]), dirs), A1, c1
+
+
+def test_scan_keeps_the_exact_argmin():
+    n = banach_module.SCAN_OFFSETS
+    ang = np.linspace(0.0, 2.0 * np.pi, n, endpoint=False)
+    circle = np.column_stack([np.cos(ang), np.sin(ang)])
+    tilted = Subspace.span([1.0, 0.0, 0.3], [0.0, 1.0, -0.2])
+    # circles: every shift ties at rounding level
+    circles, _, _ = normalized_signatures(Ellipsoid(np.diag([1.0, 2.0, 3.0])), XY, tilted, circle)
+    # a square: exact 4-fold ties, here at the shifts 143 + 180 i
+    quarter = 1.0 / np.abs(circle[: n // 4]).max(axis=1)
+    square = np.tile(quarter, 4)
+    rng = np.random.default_rng(3)
+    for r, s in [circles, (square, np.roll(square, 37)), rng.uniform(0.5, 1.5, (2, n))]:
+        for sig in (r, r[::-1]):
+            brute = np.array([np.abs(np.roll(sig, -l) - s).max() for l in range(n)])
+            got = _scan(sig, s)
+            assert np.argmin(got) == np.argmin(brute)
+            finite = np.isfinite(got)
+            assert np.array_equal(got[finite], brute[finite])
+            assert np.all(got[~finite] > brute.min())
+    # only the four exact matches survive the bound
+    assert np.flatnonzero(np.isfinite(_scan(square, np.roll(square, 37)))).tolist() == [
+        143, 323, 503, 683
+    ]
+
+
+@pytest.mark.parametrize("body", [ball_cut_by_cube(), triangle_prism()])
+def test_subscan_reads_the_rotated_residuals(body):
+    # the sub-shifts of both orientations, read from radials on the offset
+    # grids, equal the residuals of the rotated (and reflected) maps; the
+    # triangle's inscribed ellipse is off-centre, so its radials bisect
+    X2 = Subspace.span([1.0, 0.0, 0.3], [0.0, 1.0, -0.2])
+    n, sub = banach_module.SCAN_OFFSETS, banach_module.REFINE_SUB
+    step = 2.0 * np.pi / n
+    fine = (np.arange(sub)[:, None] / sub + np.arange(n)) * step
+    circle = np.column_stack([np.cos(fine[0]), np.sin(fine[0])])
+    (_, s2), A1, c1 = normalized_signatures(body, XY, X2, circle)
+    dirs = np.column_stack([np.cos(fine.ravel()), np.sin(fine.ravel())])
+    R = _radials(body, A1[None], c1[None], dirs).reshape(sub, n)
+    for base in ([3, 716], [718, 1]):
+        phis = np.array(base)[:, None] * step + step * np.linspace(-1.0, 1.0, 2 * sub + 1)
+        maps = A1 @ _rot(phis)
+        maps[1, ..., 1] *= -1.0
+        rotated = [np.abs(_radials(body, m, np.tile(c1, (len(m), 1)), circle) - s2).max(axis=1)
+                   for m in maps]
+        assert np.abs(_subscan(R, s2, np.array(base)) - rotated).max() <= 1e-14
 
 
 @pytest.mark.parametrize("fixture", [("ellipsoid", "region_xy"), ("mixed", "region_mixed")])
