@@ -16,10 +16,9 @@ from .bodies import Body, SectionBody, section_samples
 from .contracting import (
     DEFAULT_TOL,
     certify_planes,
-    cylinder_contains,
     find_contracting_direction,
+    first_failure,
     is_contracting,
-    shared_generatrix_cylinder,
 )
 from .errors import (
     AmbiguousDichotomy,
@@ -37,6 +36,7 @@ from .linalg import (
     GrassmannChart,
     Subspace,
     join,
+    line_angles,
     meet,
     orthonormal_frame,
     projector,
@@ -57,8 +57,7 @@ DUAL_POINTS = 12
 # Tangent field acceptance: fit residual and nondegeneracy floor.
 FIELD_TOL = 1e-6
 FIELD_SIGMA_MIN = 1e-3
-# Grids per axis of the projective cross-check and of each restriction slice.
-PHI_GRID = 3
+# Grid per axis of each restriction slice.
 RESTRICTION_GRID = 3
 # Boundary points and kernel-plane angles of the dual support check.
 SUPPORT_POINTS = 32
@@ -105,17 +104,16 @@ class ConstantLine:
     max_spread: float = 0.0
 
 
-def _median_line(dirs):
-    """Geometric median of lines: Weiszfeld on sign-aligned unit vectors."""
-    D = np.array(dirs)
+def _median_line(D):
+    """Geometric median of lines, the unit rows of D: Weiszfeld on
+    sign-aligned unit vectors."""
     # antipodal alignment against the principal direction
     w, U = np.linalg.eigh(D.T @ D)
     ref = U[:, -1]
     D = D * np.sign(D @ ref)[:, None]
     m = ref.copy()
     for _ in range(64):
-        d = np.linalg.norm(D - m, axis=1)
-        d = np.maximum(d, 1e-12)
+        d = np.maximum(np.linalg.norm(D - m, axis=1), 1e-12)
         new = (D / d[:, None]).sum(axis=0) / (1.0 / d).sum()
         nrm = np.linalg.norm(new)
         if nrm < 1e-12:
@@ -138,10 +136,10 @@ def phi_map(
 ) -> PhiSample:
     """Generatrix line per grid plane of a 3-dimensional region.
 
-    Each found line is certified through the containment route as well; a
-    plane with no certified line raises NoGeneratrix.  hints, when given,
-    maps a plane to warm candidate lines (the form-informed path), which is
-    what makes the sample sharp enough for the coplanarity properties.
+    Each line is the first direction the plane's search certifies; a plane
+    with no certified line raises NoGeneratrix.  hints, when given, maps a
+    plane to warm candidate lines (the form-informed path), which is what
+    makes the sample sharp enough for the coplanarity properties.
     count_multiplicity=False accepts the first certified line per plane;
     callers may do that when uniqueness is already known (verified strictly
     convex quadric) since the dichotomy then rests on line separation alone.
@@ -149,48 +147,44 @@ def phi_map(
     if region.base.ambient != 3 or region.base.dim != 2:
         raise ValueError("phi_map runs on 2-planes in a 3-dimensional space")
     coords = list(region.grid(grid))
-    planes = [region.plane(M) for M in coords]
-
-    pairs = []
-    mult = []
-    for X in planes:
+    pairs, mult = [], []
+    for X in (region.plane(M) for M in coords):
         warm = tuple(hints(X)) if hints is not None else ()
         res = find_contracting_direction(
             body, X, tol, warm=warm, first_only=not count_multiplicity
         )
         if not res:
             raise NoGeneratrix(X, res.best_violation)
-        L = res.found[0].direction
-        if not cylinder_contains(body, X, L, tol):
-            raise NoGeneratrix(X, res.found[0].violation)
-        pairs.append((X, L))
+        pairs.append((X, res.found[0].direction))
         mult.append(len(res.found))
+    return _phi_sample(pairs, mult, coords)
 
-    defect = 0.0
-    for i in range(1, len(coords)):
-        d = [np.linalg.norm(coords[i] - coords[j]) for j in range(i)]
-        j = int(np.argmin(d))
-        if mult[i] == 1 and mult[j] == 1:
-            defect = max(defect, subspace_angle(pairs[i][1], pairs[j][1]))
-    return PhiSample(pairs, mult, coords, defect)
+
+def _phi_sample(pairs, mult, coords):
+    """PhiSample whose continuity defect is the largest angle between the
+    line of a grid point and that of its nearest earlier grid point, over
+    points whose lines are unique."""
+    C = np.reshape(coords, (len(coords), -1))
+    D = np.linalg.norm(C[:, None] - C[None], axis=2)
+    D[np.triu_indices(len(C))] = np.inf
+    j = D[1:].argmin(axis=1)
+    lines = np.array([L.frame[:, 0] for _, L in pairs])
+    m = np.array(mult)
+    angles = line_angles(lines[1:], lines[j])[(m[1:] == 1) & (m[j] == 1)]
+    return PhiSample(pairs, mult, coords, float(angles.max(initial=0.0)))
 
 
 def injectivity_test(sample: PhiSample):
     """ConstantLine, Injective, or AmbiguousDichotomy for a phi sample."""
     if not sample.pairs:
         raise ValueError("empty phi sample")
-    lines = [L.frame[:, 0] for _, L in sample.pairs]
+    lines = np.array([L.frame[:, 0] for _, L in sample.pairs])
     med = _median_line(lines)
-    spread = max(subspace_angle(Subspace(v[:, None]), med) for v in lines)
+    spread = float(line_angles(lines, med.frame[:, 0]).max())
     if spread <= CONSTANT_ANGLE or any(m >= 2 for m in sample.multiplicity):
         return ConstantLine(med, spread)
-    seps = []
-    for i in range(len(lines)):
-        for j in range(i + 1, len(lines)):
-            seps.append(
-                subspace_angle(Subspace(lines[i][:, None]), Subspace(lines[j][:, None]))
-            )
-    min_sep = min(seps)
+    i, j = np.triu_indices(len(lines), 1)
+    min_sep = float(line_angles(lines[i], lines[j]).min())
     if min_sep > CONSTANT_ANGLE:
         return Injective(min_sep)
     raise AmbiguousDichotomy(
@@ -209,12 +203,9 @@ def fit_projective_dual(body: Body, sample: PhiSample) -> ProjectiveDual:
     P = np.vstack(
         [section_samples(body, X, DUAL_POINTS).ambient_points for X, _ in sample.pairs]
     )
-    rows = []
-    for p, ell in zip(P, body.support_many(P)):
-        tang = orthonormal_frame(np.eye(3) - np.outer(ell, ell) / (ell @ ell))
-        for t in tang.T:
-            rows.append(np.outer(t, p).reshape(-1))
-    A = np.array(rows)
+    # tangent planes: the null spaces of the support functionals
+    T = np.linalg.svd(body.support_many(P)[:, None, :])[2][:, 1:]
+    A = (T[:, :, :, None] * P[:, None, None, :]).reshape(-1, 9)
     A /= np.linalg.norm(A, axis=1)[:, None]
     _, s, Vt = np.linalg.svd(A, full_matrices=False)
     if s[-2] - s[-1] < DUAL_GAP:
@@ -397,34 +388,23 @@ def _form_direction(A, X):
     return Subspace(Vt[r:].T)
 
 
-def _phi_cross_check(body, region, opts, report):
-    """Stage (d): the projective pipeline must predict the report's verdict."""
+def _phi_cross_check(body, region, sample, report):
+    """Stage (d): the projective pipeline, run on the sweep's own planes and
+    certified lines, must predict the report's verdict."""
     verdict, generatrix = report.verdict, report.generatrix
     diagnostics = report.diagnostics
-    A = report.witness.get("form")
-
-    def hints(X):
-        if A is not None:
-            return [_form_direction(A, X)]
-        return [generatrix] if generatrix is not None else []
-
+    diagnostics["phi_continuity_defect"] = sample.continuity_defect
     try:
-        # hints come from the verified form or generatrix of an Ellipsoid or
-        # Cylinder report, whose direction is unique per plane; skip the
-        # multiplicity exploration
-        sample = phi_map(body, region, PHI_GRID, opts.tol, hints=hints, count_multiplicity=False)
-        diagnostics["phi_continuity_defect"] = sample.continuity_defect
         outcome = injectivity_test(sample)
-    except (NoGeneratrix, AmbiguousDichotomy) as exc:
-        diagnostics["phi_outcome"] = type(exc).__name__
+    except AmbiguousDichotomy:
+        diagnostics["phi_outcome"] = "AmbiguousDichotomy"
         diagnostics["phi_agrees"] = False
         return
     if isinstance(outcome, ConstantLine):
         diagnostics["phi_outcome"] = "ConstantLine"
-        agrees = verdict == "Cylinder"
-        if agrees and generatrix is not None:
-            agrees = subspace_angle(outcome.line, generatrix) <= 1e-3
-        diagnostics["phi_agrees"] = agrees
+        diagnostics["phi_agrees"] = (
+            verdict == "Cylinder" and subspace_angle(outcome.line, generatrix) <= 1e-3
+        )
         return
     diagnostics["phi_outcome"] = "Injective"
     try:
@@ -433,8 +413,7 @@ def _phi_cross_check(body, region, opts, report):
         diagnostics["dual_support_defect"] = support_check(body, dual)
         field_ok = True
         if verdict == "Ellipsoid":
-            sec = section_samples(body, region.base, 64)
-            W, resid = tangent_field_fit(sec)
+            W, resid = tangent_field_fit(section_samples(body, region.base, 64))
             diagnostics["tangent_field_residual"] = resid
             field_ok = W is not None
         diagnostics["phi_agrees"] = (
@@ -528,7 +507,7 @@ def _classify(body, region, opts):
     # sweep (with a verified form the direction is unique anyway)
     form_dirs = [_form_direction(A, X) for X in planes] if A is not None else []
     held = certify_planes(body, planes, form_dirs, opts.tol) if form_dirs else [None] * len(planes)
-    directions, warm = [], []
+    directions, mult, warm = [], [], []
     for i, X in enumerate(planes):
         tally("planes_swept")
         if held[i] is not None and held[i].holds:
@@ -546,6 +525,7 @@ def _classify(body, region, opts):
                 )
             found = res.found
         directions.append(found[0].direction)
+        mult.append(len(found))
         if i == 0:
             diagnostics["base_multiplicity"] = len(found)
         warm = [found[0].direction] + warm[:1]
@@ -574,16 +554,15 @@ def _classify(body, region, opts):
     else:
         # (c) constant direction: cylinder over the base section
         L0 = directions[0]
-        if shared_generatrix_cylinder(body, planes, L0, opts.tol) is None:
+        failed = first_failure(certify_planes(body, planes, [L0] * len(planes), opts.tol))
+        if failed is not None:
             # gap: planes contract individually but no global structure
             # exists; report the strongest structural failure as witness
             diagnostics["direction_spread"] = max(subspace_angle(L0, L) for L in directions)
             if quadric_witness is None:
                 # the form verified but is not PSD, so no structural test
                 # failed: witness the first plane L0 does not contract
-                certs = (is_contracting(body, X, L0, opts.tol) for X in planes)
-                cert = next(c for c in certs if not c.holds)
-                quadric_witness = (cert.plane, cert.violation)
+                quadric_witness = (failed.plane, failed.violation)
             wplane, wviol = quadric_witness
             return ClassificationReport(
                 "NonKakutani",
@@ -599,7 +578,8 @@ def _classify(body, region, opts):
 
     if opts.cross_checks:
         if n == 3 and k == 2:
-            _phi_cross_check(body, region, opts, report)
+            sample = _phi_sample(list(zip(planes, directions)), mult, coords)
+            _phi_cross_check(body, region, sample, report)
         if n > k + 1:
             _restriction_cross_check(body, region, opts, report)
     return report

@@ -525,6 +525,17 @@ def find_contracting_direction(
     return DirectionSearchResult(X, unique, best_viol, lb)
 
 
+def first_failure(certs):
+    """The first failing certificate of a certify_planes list, or None; a
+    pair that is not complementary raises NonComplementary, as is_contracting does."""
+    for cert in certs:
+        if cert is None:
+            raise NonComplementary("plane and direction are not complementary")
+        if not cert.holds:
+            return cert
+    return None
+
+
 def shared_generatrix_cylinder(
     body: Body,
     planes,
@@ -539,7 +550,6 @@ def shared_generatrix_cylinder(
     along Y, which lies in B cut by X once Y is contracting for X.
     """
     planes = list(planes)
-    for X in planes:
-        if not is_contracting(body, X, Y, tol).holds:
-            return None
+    if first_failure(certify_planes(body, planes, [Y] * len(planes), tol)) is not None:
+        return None
     return Cylinder(SectionBody(body, planes[0]), planes[0], Y)

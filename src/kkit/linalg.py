@@ -128,6 +128,15 @@ def subspace_angle(X: Subspace, Y: Subspace) -> float:
     return float(a.max()) if a.size else 0.0
 
 
+def line_angles(U, V):
+    """subspace_angle between the lines spanned by the unit rows of U and V,
+    broadcast over their leading axes, by the same sines and cosines."""
+    c = (U * V).sum(axis=-1)
+    cos = np.clip(np.abs(c), 0.0, 1.0)
+    sin = np.clip(np.linalg.norm(V - c[..., None] * U, axis=-1), 0.0, 1.0)
+    return np.where(cos**2 <= 0.5, np.arccos(cos), np.arcsin(sin))
+
+
 def projector(X: Subspace, Y: Subspace):
     """Matrix of the projection onto X along Y (requires dim X + dim Y = n)."""
     n = X.ambient

@@ -3,6 +3,7 @@ import pytest
 
 from kkit.bodies import Ellipsoid, LinearImage, PBall, Polytope, section_samples
 from kkit.classifier import (
+    DUAL_POINTS,
     ClassifyOptions,
     ConstantLine,
     Injective,
@@ -24,7 +25,13 @@ from kkit.errors import (
     SameHyperplane,
     SharedLine,
 )
-from kkit.linalg import GrassmannChart, Subspace, random_subspace, subspace_angle
+from kkit.linalg import (
+    GrassmannChart,
+    Subspace,
+    orthonormal_frame,
+    random_subspace,
+    subspace_angle,
+)
 
 from conftest import disk_cylinder, random_spd
 
@@ -184,6 +191,13 @@ def test_phi_continuity_defect_small_on_fine_grid():
         count_multiplicity=False,
     )
     assert sample.continuity_defect <= 0.2
+    # the loop the defect was taken by before it was batched: each grid
+    # point against its nearest earlier point
+    C, lines, defect = sample.coords, [L for _, L in sample.pairs], 0.0
+    for i in range(1, len(C)):
+        j = int(np.argmin([np.linalg.norm(C[i] - C[j]) for j in range(i)]))
+        defect = max(defect, subspace_angle(lines[i], lines[j]))
+    assert abs(sample.continuity_defect - defect) <= 1e-15
 
 
 def test_injectivity_ambiguous_is_surfaced():
@@ -263,6 +277,39 @@ def test_duality_incidence():
         d = L.frame[:, 0]
         for p in section_samples(body, X, 8).ambient_points:
             assert abs((dual.F @ p) @ d) <= 1e-6
+
+
+def _dual_by_point_loop(body, sample):
+    """fit_projective_dual's F and residual with a tangent frame per point,
+    as it was computed before the frames were batched."""
+    P = np.vstack(
+        [section_samples(body, X, DUAL_POINTS).ambient_points for X, _ in sample.pairs]
+    )
+    rows = []
+    for p, ell in zip(P, body.support_many(P)):
+        tang = orthonormal_frame(np.eye(3) - np.outer(ell, ell) / (ell @ ell))
+        for t in tang.T:
+            rows.append(np.outer(t, p).reshape(-1))
+    A = np.array(rows)
+    A /= np.linalg.norm(A, axis=1)[:, None]
+    _, s, Vt = np.linalg.svd(A, full_matrices=False)
+    F = Vt[-1].reshape(3, 3)
+    return (-F if np.trace(F) < 0 else F), float(s[-1]) / np.sqrt(len(A))
+
+
+def test_batched_dual_fit_matches_the_point_loop():
+    r = np.random.default_rng(17)
+    for grid in (3, 4):
+        Q = random_spd(r, 3, cond=6.0)
+        body = Ellipsoid(Q)
+        sample = phi_map(
+            body, GrassmannChart(random_subspace(r, 3, 2), 0.2), grid=grid,
+            hints=lambda X: [q_complement(Q, X)], count_multiplicity=False,
+        )
+        dual = fit_projective_dual(body, sample)
+        F, resid = _dual_by_point_loop(body, sample)
+        assert np.abs(dual.F - F).max() <= 1e-12
+        assert abs(dual.fit_residual - resid) <= 1e-12
 
 
 def test_support_check_accepts_truth_and_flags_corruption():

@@ -116,6 +116,29 @@ def test_gap_path_with_a_form_that_is_not_psd_writes_a_finite_witness(tmp_path, 
     assert rep["witness"]["violation"] == pytest.approx(viols[first], rel=1e-4)
 
 
+def test_phi_cross_check_reads_the_sweep(tmp_path):
+    # the cross-check samples the sweep's own planes and certified lines, so
+    # only the sweep searches and certifies; of these, only the box's cold
+    # sweep searches at all
+    for name, outcome, work in (
+        ("ellipsoid.json", "Injective", 0),
+        ("cylinder.json", "ConstantLine", 0),
+        ("sheared.json", "Injective", 0),
+        ("box.json", "ConstantLine", 9),
+    ):
+        code, rep = run(tmp_path, "classify", FIX / name, FIX / "region_xy.json", "--grid", "3")
+        assert code == 0
+        assert rep["diagnostics"]["phi_outcome"] == outcome, name
+        assert rep["diagnostics"]["phi_agrees"] is True, name
+        assert rep["timings"]["certificates"] == work, name
+        assert rep["timings"]["direction_searches"] == work, name
+    # the 4 x 4 grid does not contain the 3 x 3 one
+    for name in ("ellipsoid.json", "box.json", "cylinder.json"):
+        code, rep = run(tmp_path, "classify", FIX / name, FIX / "region_xy.json", "--grid", "4")
+        assert code == 0
+        assert rep["diagnostics"]["phi_agrees"] is True, name
+
+
 def test_classify_box_fixture(tmp_path):
     code, rep = run(
         tmp_path, "classify", FIX / "box.json", FIX / "region_xy.json",

@@ -17,6 +17,7 @@ from kkit.linalg import (
     GrassmannChart,
     Subspace,
     join,
+    line_angles,
     meet,
     principal_angles,
     project,
@@ -111,6 +112,31 @@ def test_meet_join_dimension_formula():
         for j in range(M.dim):
             v = M.frame[:, j]
             assert X.contains(v) and Y.contains(v)
+
+
+def test_line_angles_match_subspace_angle():
+    r = rng(41)
+    U = r.normal(size=(60, 3))
+    U /= np.linalg.norm(U, axis=1)[:, None]
+    W = np.cross(U, r.normal(size=(60, 3)))
+    W /= np.linalg.norm(W, axis=1)[:, None]
+    # random lines, lines 1e-9 rad off U, and lines 1e-9 rad off orthogonal
+    # to U, each tilted in the plane of U and a unit W orthogonal to it
+    t = 1e-9
+    near = np.cos(t) * U + np.sin(t) * W
+    V = np.vstack([r.normal(size=(60, 3)), near, np.cos(t) * W + np.sin(t) * U])
+    V /= np.linalg.norm(V, axis=1)[:, None]
+    A = np.tile(U, (3, 1))
+    want = [subspace_angle(Subspace(a[:, None]), Subspace(b[:, None])) for a, b in zip(A, V)]
+    got = line_angles(A, V)
+    assert np.abs(got - want).max() <= 1e-15
+    assert np.abs(got[60:120] - t).max() <= 1e-15
+    assert np.abs(got[120:] - (np.pi / 2 - t)).max() <= 1e-15
+    # broadcast over all pairs, as the injectivity test takes them
+    i, j = np.triu_indices(20, 1)
+    pairs = line_angles(U[:20, None], U[None, :20])[i, j]
+    want = [subspace_angle(Subspace(U[a][:, None]), Subspace(U[b][:, None])) for a, b in zip(i, j)]
+    assert np.abs(pairs - want).max() <= 1e-15
 
 
 def test_meet_of_transverse_planes_in_r3_is_their_common_line():
