@@ -406,9 +406,11 @@ def _normalize(body: Body, planes, cache: dict):
     """Fill cache[frame bytes] = (frame @ M, frame @ c, M), with {M u + c}
     the section's inscribed ellipsoid, for every plane missing from it.
 
-    Keying on the frame bytes lets equal planes share one solve.  Each
-    missing plane is sampled once, in order of first appearance, and all of
-    them are normalized by one stacked max_inscribed_ellipsoid call.
+    Each missing plane is sampled once, in order of first appearance, and
+    the distinct functional stacks among them are normalized by one stacked
+    max_inscribed_ellipsoid call: keying the solves on the functional bytes
+    lets planes with bit-equal sections, such as mirror-image planes of a
+    symmetric body, share one solve.
     """
     todo = {}
     for X in planes:
@@ -417,10 +419,14 @@ def _normalize(body: Body, planes, cache: dict):
             todo.setdefault(key, X)
     if not todo:
         return
-    ells = [section_samples(body, X, 256).functionals for X in todo.values()]
-    M, c = max_inscribed_ellipsoid(np.stack(ells))
-    for (key, X), Mi, ci in zip(todo.items(), M, c):
-        cache[key] = (X.frame @ Mi, X.frame @ ci, Mi)
+    # functional bytes -> (row of the stacked solve, functionals)
+    ells, rows = {}, []
+    for X in todo.values():
+        ell = section_samples(body, X, 256).functionals
+        rows.append(ells.setdefault(ell.tobytes(), (len(ells), ell))[0])
+    M, c = max_inscribed_ellipsoid(np.stack([ell for _, ell in ells.values()]))
+    for (key, X), r in zip(todo.items(), rows):
+        cache[key] = (X.frame @ M[r], X.frame @ c[r], M[r])
 
 
 def _match_sections(body: Body, pairs, cache=None):

@@ -378,13 +378,44 @@ def _cuts(body: Body, X: Subspace, Y0: Subspace, Ms, sample, V):
 
 
 def _lp(cost, A, b, bounds):
-    """HiGHS solution of min cost . x over A x <= b within bounds, or None;
-    its default feasibility tolerance, 1e-7, is coarser than the gaps closed."""
-    from scipy.optimize import linprog
+    """HiGHS solution of min cost . x over A x <= b within bounds, a (lo, hi)
+    pair per column with None for no bound, or None when HiGHS finds no
+    optimum.  One direct call of scipy's HiGHS binding with the model and
+    options linprog(method="highs") would pass, so x is bit for bit linprog's
+    without the cost of its wrapper; the feasibility tolerances are 1e-10, as
+    HiGHS's default, 1e-7, is coarser than the gaps closed."""
+    from scipy.optimize._highspy import _core as highs
 
-    tight = {"primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10}
-    res = linprog(cost, A_ub=A, b_ub=b, bounds=bounds, method="highs", options=tight)
-    return res.x if res.status == 0 else None
+    m, d = A.shape
+    # None reads as NaN
+    lo, hi = np.array(bounds, dtype=float).T
+    # column-wise, zeros dropped, as linprog's csc_array has it
+    cols, rows = np.nonzero(A.T)
+    lp = highs.HighsLp()
+    lp.num_row_, lp.num_col_ = m, d
+    lp.col_cost_ = cost
+    lp.col_lower_ = np.where(np.isnan(lo), -highs.kHighsInf, lo)
+    lp.col_upper_ = np.where(np.isnan(hi), highs.kHighsInf, hi)
+    lp.row_lower_ = np.full(m, -highs.kHighsInf)
+    lp.row_upper_ = b
+    lp.a_matrix_.format_ = highs.MatrixFormat.kColwise
+    lp.a_matrix_.num_row_, lp.a_matrix_.num_col_ = m, d
+    lp.a_matrix_.start_ = np.r_[0, np.cumsum(np.bincount(cols, minlength=d))]
+    lp.a_matrix_.index_ = rows
+    lp.a_matrix_.value_ = A.T[cols, rows]
+    opts = highs.HighsOptions()
+    opts.presolve = "on"
+    opts.simplex_strategy = highs.simplex_constants.SimplexStrategy.kSimplexStrategyDual
+    opts.highs_debug_level = highs.HighsDebugLevel.kHighsDebugLevelNone
+    opts.primal_feasibility_tolerance = opts.dual_feasibility_tolerance = 1e-10
+    opts.output_flag = opts.log_to_console = False
+    solver = highs._Highs()
+    solver.passOptions(opts)
+    solver.passModel(lp)
+    solver.run()
+    if solver.getModelStatus() != highs.HighsModelStatus.kOptimal:
+        return None
+    return np.array(solver.getSolution().col_value)
 
 
 def _solve(body: Body, X: Subspace, Y0: Subspace, M, dirs, tol):

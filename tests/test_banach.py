@@ -25,6 +25,7 @@ from kkit.banach import (
     _barrier_grad_hess,
     _barrier_value,
     _match_sections,
+    _normalize,
     _radials,
     _rot,
     _scan,
@@ -506,6 +507,23 @@ def test_stacked_match_equals_one_pair_calls(fixture):
         assert not heuristic
         assert abs(_section_match(body, X1, X2, cache=cache)[1] - res) <= 1e-15
         assert_carries_signature(body, cache, X1, X2, L, res, 1e-12)
+
+
+def test_normalize_solves_each_distinct_section_once():
+    # mirror-image planes of the mixed body cut sections with bit-equal
+    # functionals: they share one solve, bit for bit the unshared one
+    body = load_body(FIXTURES / "mixed.json")
+    pairs = banach_pairs(load_region(FIXTURES / "region_mixed.json"), 0)
+    planes = list({X.frame.tobytes(): X for pair in pairs for X in pair}.values())
+    cache = {}
+    with counting() as counts:
+        _normalize(body, planes, cache)
+    ells = np.stack([section_samples(body, X, 256).functionals for X in planes])
+    assert counts["inscribed_solves"] == len({e.tobytes() for e in ells}) < len(planes)
+    M, c = max_inscribed_ellipsoid(ells)
+    for X, Mi, ci in zip(planes, M, c):
+        unshared = (X.frame @ Mi, X.frame @ ci, Mi)
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(cache[X.frame.tobytes()], unshared))
 
 
 def test_off_centre_pair_in_a_stack_matches_its_own_call():

@@ -1,3 +1,4 @@
+import json
 from pathlib import Path
 
 import numpy as np
@@ -21,6 +22,7 @@ from conftest import disk_cylinder, random_polytope, random_spd, rng
 XY = Subspace.coordinate(3, 0, 1)
 Z = Subspace.coordinate(3, 2)
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 def q_complement(Q, X):
@@ -147,6 +149,29 @@ def test_polytope_search_is_an_exact_finite_lp(monkeypatch):
     assert not res
     assert res.lower_bound == pytest.approx(res.best_violation, abs=1e-12)
     assert 0.1 <= res.best_violation and len(solves) <= 20
+
+
+def test_lp_is_bit_for_bit_linprog(monkeypatch):
+    # _lp calls scipy's private HiGHS binding; a scipy release that moves or
+    # changes it must fail here rather than move the search's iterates
+    from scipy.optimize import linprog
+
+    golden = json.loads((GOLDEN / "classify_pball_region_tilted.json").read_text())
+    X = Subspace(np.array(golden["witness"]["witness_plane"]))
+    lp, lps = contracting_module._lp, []
+    monkeypatch.setattr(contracting_module, "_lp", lambda *a: lps.append(a) or lp(*a))
+    assert not find_contracting_direction(load_body(FIXTURES / "pball.json"), X)
+    # the level LPs bound their last column below by 0, the master LPs do not
+    levels = sum(bounds[-1] == (0.0, None) for *_, bounds in lps)
+    assert 0 < levels < len(lps)
+    infeasible = (np.ones(2), np.ones((1, 2)), np.array([-1.0]), [(0.0, None)] * 2)
+    tight = {"primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10}
+    for cost, A, b, bounds in lps + [infeasible]:
+        res = linprog(cost, A_ub=A, b_ub=b, bounds=bounds, method="highs", options=tight)
+        x = lp(cost, A, b, bounds)
+        assert (x is None) == (res.status != 0)
+        assert x is None or x.tobytes() == res.x.tobytes()
+    assert lp(*infeasible) is None
 
 
 def test_warm_start_short_circuits():
