@@ -33,6 +33,8 @@ def truncated_disk_cylinder():
 def show(name, report):
     print(f"{name}: {report.verdict}")
     for key, value in sorted(report.witness.items()):
+        if isinstance(value, Subspace):
+            value = value.frame.T  # its column vectors, as reports write frames
         if not isinstance(value, (bool, int, np.bool_, np.integer)):
             value = np.round(np.asarray(value, dtype=float), 6)
         print(f"  {key} = {value}")

@@ -569,11 +569,9 @@ def banach_classify(
         raise ValueError("banach_classify runs over regions of 2- or 3-planes")
     opts = opts or ClassifyOptions()
     rng = np.random.default_rng(opts.seed)
-    pairs = [(region.base, region.plane(M)) for M in region.grid(3)]
-    for _ in range(32):
-        pairs.append(
-            (region.plane(region.sample(rng)[0]), region.plane(region.sample(rng)[0]))
-        )
+    pairs = [(region.base, X) for X in region.planes(region.grid(3))]
+    drawn = region.planes(region.sample(rng, 64))
+    pairs += zip(drawn[::2], drawn[1::2])
 
     worst_res = 0.0
     worst_fail = None

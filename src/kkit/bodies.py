@@ -10,7 +10,7 @@ normalization from those.
 
 Body.smooth says whether the gauge is differentiable off the origin and its
 generatrix, so that certificates may climb its gradient: True for Ellipsoid
-and for PBall with p > 1, inherited through LinearImage, SectionBody and
+and for PBall with 1 < p < inf, inherited through LinearImage, SectionBody and
 Cylinder, and False for Polytope, Intersection and anything else.
 """
 
@@ -178,7 +178,7 @@ class PBall(Body):
         self.Ainv = np.linalg.inv(A)
         self.dim = A.shape[0]
 
-    smooth = property(lambda self: self.p > 1.0)
+    smooth = property(lambda self: 1.0 < self.p < np.inf)
 
     def gauge_many(self, V):
         U = np.asarray(V, dtype=float) @ self.Ainv.T

@@ -148,7 +148,7 @@ def phi_map(
         raise ValueError("phi_map runs on 2-planes in a 3-dimensional space")
     coords = list(region.grid(grid))
     pairs, mult = [], []
-    for X in (region.plane(M) for M in coords):
+    for X in region.planes(coords):
         warm = tuple(hints(X)) if hints is not None else ()
         res = find_contracting_direction(
             body, X, tol, warm=warm, first_only=not count_multiplicity
@@ -348,7 +348,6 @@ class ClassificationReport:
     witness: dict
     diagnostics: dict
     counters: dict = None
-    generatrix: Subspace = None
 
     def to_dict(self):
         """The report as plain JSON types: {verdict, witness, diagnostics,
@@ -391,7 +390,7 @@ def _form_direction(A, X):
 def _phi_cross_check(body, region, sample, report):
     """Stage (d): the projective pipeline, run on the sweep's own planes and
     certified lines, must predict the report's verdict."""
-    verdict, generatrix = report.verdict, report.generatrix
+    verdict, generatrix = report.verdict, report.witness.get("generatrix")
     diagnostics = report.diagnostics
     diagnostics["phi_continuity_defect"] = sample.continuity_defect
     try:
@@ -479,7 +478,7 @@ def _classify(body, region, opts):
         raise ValueError("region must sweep k-planes with 2 <= k <= n-1")
     diagnostics = {}
     coords = list(region.grid(opts.grid_per_axis))
-    planes = [region.plane(M) for M in coords]
+    planes = region.planes(coords)
 
     # probe the global quadratic reconstruction up front: success pins the
     # expected direction on every plane, so the sweep below reduces to a
@@ -520,7 +519,7 @@ def _classify(body, region, opts):
             if not res:
                 return ClassificationReport(
                     "NonKakutani",
-                    {"witness_plane": X.frame, "violation": res.best_violation},
+                    {"witness_plane": X, "violation": res.best_violation},
                     {**diagnostics, "failed_coords": coords[i].tolist()},
                 )
             found = res.found
@@ -539,17 +538,15 @@ def _classify(body, region, opts):
                 diagnostics,
             )
         else:
-            generatrix = form.kernel()
             report = ClassificationReport(
                 "Cylinder",
                 {
-                    "generatrix": generatrix.frame,
-                    "base_plane": region.base.frame,
+                    "generatrix": form.kernel(),
+                    "base_plane": region.base,
                     "form": form.ambient_coeffs,
                     "rank": rank,
                 },
                 diagnostics,
-                generatrix=generatrix,
             )
     else:
         # (c) constant direction: cylinder over the base section
@@ -564,17 +561,10 @@ def _classify(body, region, opts):
                 # failed: witness the first plane L0 does not contract
                 quadric_witness = (failed.plane, failed.violation)
             wplane, wviol = quadric_witness
-            return ClassificationReport(
-                "NonKakutani",
-                {"witness_plane": wplane.frame, "violation": wviol},
-                diagnostics,
-            )
-        report = ClassificationReport(
-            "Cylinder",
-            {"generatrix": L0.frame, "base_plane": region.base.frame},
-            diagnostics,
-            generatrix=L0,
-        )
+            witness = {"witness_plane": wplane, "violation": wviol}
+            return ClassificationReport("NonKakutani", witness, diagnostics)
+        witness = {"generatrix": L0, "base_plane": region.base}
+        report = ClassificationReport("Cylinder", witness, diagnostics)
 
     if opts.cross_checks:
         if n == 3 and k == 2:

@@ -1,9 +1,9 @@
 """Command line front end: body/region files, classification, reports, SVG.
 
 Body and region descriptions are JSON documents (schemas in docs/schemas.md);
-all matrices are row-major nested lists and the frames of input files are
-lists of column vectors.  Each command loads its inputs and returns a
-ClassificationReport; main alone counts the work, echoes the parsed
+all matrices are row-major nested lists, and the frames of input files and
+reports are lists of column vectors.  Each command loads its inputs and
+returns a ClassificationReport; main alone counts the work, echoes the parsed
 arguments, writes the report {verdict, witness, diagnostics, timings,
 config_echo} with sorted keys (a fixed seed yields byte-identical output) and
 sets the exit code: 0 for a verdict in POSITIVE, 2 for a certified negative
@@ -173,6 +173,8 @@ def _options(args) -> ClassifyOptions:
     if args.tol is not None:
         kw["tol"] = args.tol
     if args.grid is not None:
+        if args.grid < 1:
+            raise CliError(f"--grid must be at least 1, got {args.grid}")
         kw["grid_per_axis"] = args.grid
     return ClassifyOptions(**kw)
 

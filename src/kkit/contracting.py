@@ -39,7 +39,7 @@ _FLAT_TOL = 1e-9
 DEDUP_ANGLE = 1e-4
 # Strongest certificate samples the refinement starts from.
 REFINE_TOP = 8
-# Half-width of the chart box the direction search starts in; its master LP
+# Half-width of the box the direction search's master LP starts in; it
 # doubles the box whenever the model's minimum lies on the box's face.
 SEARCH_SPAN = 1.5
 # First step of the certificate refinement: the pattern search's coordinate
@@ -418,11 +418,11 @@ def _lp(cost, A, b, bounds):
     return np.array(solver.getSolution().col_value)
 
 
-def _solve(body: Body, X: Subspace, Y0: Subspace, M, dirs, tol):
-    """Level bundle minimization of the sampled violation over all chart
-    coordinates, from M (Lemarechal, Nemirovskii & Nesterov, Math.
-    Programming 69, 1995): (best certificate, its coordinates, final sample,
-    lower bound lb for every complement of X).
+def _solve(body: Body, chart: GrassmannChart, M, dirs, tol):
+    """Level bundle minimization of the sampled violation over all
+    coordinates of the chart of complements of X, from M (Lemarechal,
+    Nemirovskii & Nesterov, Math. Programming 69, 1995): (best certificate,
+    its coordinates, final sample, lower bound lb for every complement).
 
     Each round cuts at the new points and solves the Kelley master LP in a
     box that holds M.  A master minimizer inside the box is the model's
@@ -434,6 +434,7 @@ def _solve(body: Body, X: Subspace, Y0: Subspace, M, dirs, tol):
     the sample and resumes, until the certificate meets lb or its point no
     longer moves lb.
     """
+    X, Y0 = chart.transversal, chart.base
     shape, d = M.shape, M.size
     sample = _test_points(body, dirs)
     w, c = np.empty((0, d)), np.empty(0)
@@ -469,7 +470,7 @@ def _solve(body: Body, X: Subspace, Y0: Subspace, M, dirs, tol):
             step = x[:d] if y is None else y[:d]
             Ms = np.array([x[:d], step]).reshape((2,) + shape)
             continue
-        cert = is_contracting(body, X, Subspace(Y0.frame + X.frame @ M), tol)
+        cert = is_contracting(body, X, chart.plane(M), tol)
         if best is None or cert.violation < best[0].violation:
             best = (cert, M)
         if cert.holds or cert.violation <= lb + gap or lb <= lb_cert + gap:
@@ -479,7 +480,7 @@ def _solve(body: Body, X: Subspace, Y0: Subspace, M, dirs, tol):
         sample = (np.vstack([sample[0], worst]), np.r_[sample[1], worst_base])
         Ms, ub, lb_cert = M[None], np.inf, lb
     if best is None:
-        best = (is_contracting(body, X, Subspace(Y0.frame + X.frame @ M), tol), M)
+        best = (is_contracting(body, X, chart.plane(M), tol), M)
     return best + (sample, lb)
 
 
@@ -508,14 +509,14 @@ def find_contracting_direction(
 
     Warm candidates are certified first; with first_only the first certified
     direction short circuits the search.  Then one convex solve runs on the
-    chart of directions over Y0 = X^perp, over the coarse sample and plane
-    layers; without first_only the certified far ends of its near-argmin set
-    count as further directions, deduplicated at DEDUP_ANGLE.
+    unboxed chart of directions over Y0 = X^perp, over the coarse sample and
+    plane layers; without first_only the certified far ends of its near-argmin
+    set count as further directions, deduplicated at DEDUP_ANGLE.
     """
     tally("direction_searches")
     n, k = X.ambient, X.dim
     Y0 = X.orthogonal_complement()
-    chart = GrassmannChart(Y0, SEARCH_SPAN, transversal=X)
+    chart = GrassmannChart(Y0, np.inf, transversal=X)
     best_viol = np.inf
 
     # certified warm candidates short-circuit when only existence matters
@@ -538,15 +539,15 @@ def find_contracting_direction(
             best_viol, start = cert.violation, chart.coords(Yc)
 
     dirs = np.vstack([sphere_directions(n, SEARCH_SAMPLES), _plane_layers(X)])
-    cert, M, sample, lb = _solve(body, X, Y0, start, dirs, tol)
+    cert, M, sample, lb = _solve(body, chart, start, dirs, tol)
     best_viol = min(best_viol, cert.violation)
     if cert.holds:
         found.append(cert)
         if not first_only:
             # lb is at most the minimum, so this level set lies inside the
             # minimum's own NEAR tol sublevel set
-            for E in _near_argmin_ends(body, X, Y0, M, lb + NEAR * tol, sample):
-                end = is_contracting(body, X, Subspace(Y0.frame + X.frame @ E), tol)
+            for Y in chart.planes(_near_argmin_ends(body, X, Y0, M, lb + NEAR * tol, sample)):
+                end = is_contracting(body, X, Y, tol)
                 if end.holds:
                     found.append(end)
     unique = []

@@ -31,21 +31,32 @@ SOBOL_BITS = 30
 
 
 def orthonormal_frame(vectors):
-    """Orthonormal basis (columns) for the span of the given columns.
+    """Orthonormal basis (columns) for the span of the given columns, or a
+    stack of such bases for a stack of matrices, which must share one rank.
 
     Column signs are canonicalized (largest entry positive) so equal spans
     produce identical frames, which keeps downstream output deterministic.
     """
     A = np.atleast_2d(np.asarray(vectors, dtype=float))
-    if A.shape[1] == 0:
-        return A.reshape(A.shape[0], 0)
+    if A.size == 0:
+        return A
     U, s, _ = np.linalg.svd(A, full_matrices=False)
-    r = int(np.sum(s > RANK_RTOL * s[0])) if s.size else 0
-    F = U[:, :r]
-    for j in range(F.shape[1]):
-        i = int(np.argmax(np.abs(F[:, j])))
-        if F[i, j] < 0:
-            F[:, j] = -F[:, j]
+    r = set(np.count_nonzero(s > RANK_RTOL * s[..., :1], axis=-1).flat)
+    if len(r) > 1:
+        raise ValueError("the matrices of a stack differ in rank")
+    F = U[..., : r.pop()]
+    i = np.abs(F).argmax(axis=-2)[..., None, :]
+    return np.where(np.take_along_axis(F, i, axis=-2) < 0, -F, F)
+
+
+def _frames(A):
+    """orthonormal_frame of a stack (B, n, m), with one extra pass over each
+    frame that accumulated rounding leaves more than FRAME_TOL from orthonormal."""
+    F = orthonormal_frame(A)
+    g = np.swapaxes(F, -1, -2) @ F - np.eye(F.shape[-1])
+    redo = np.abs(g).max(axis=(-2, -1), initial=0.0) > FRAME_TOL
+    if redo.any():
+        F[redo] = orthonormal_frame(F[redo])
     return F
 
 
@@ -53,11 +64,14 @@ class Subspace:
     """A linear subspace of R^n held as an n x k orthonormal frame."""
 
     def __init__(self, vectors):
-        self.frame = orthonormal_frame(vectors)
-        g = self.frame.T @ self.frame - np.eye(self.frame.shape[1])
-        if g.size and np.abs(g).max() > FRAME_TOL:
-            # one extra pass fixes accumulated rounding
-            self.frame = orthonormal_frame(self.frame)
+        self.frame = _frames(np.atleast_2d(np.asarray(vectors, dtype=float))[None])[0]
+
+    @classmethod
+    def _of(cls, frame):
+        """The subspace of a frame that _frames already made orthonormal."""
+        X = cls.__new__(cls)
+        X.frame = frame
+        return X
 
     @classmethod
     def span(cls, *vectors):
@@ -207,12 +221,18 @@ class GrassmannChart:
 
     def plane(self, M) -> Subspace:
         """Plane with graph coefficients M, raising OutOfChart beyond the box."""
-        M = np.asarray(M, dtype=float)
-        if M.shape != self.halfwidths.shape:
-            raise OutOfChart(f"coefficient shape {M.shape} != {self.halfwidths.shape}")
-        if not self.contains_coords(M):
+        return self.planes([M])[0]
+
+    def planes(self, Ms):
+        """Planes with the graph coefficients of the stack Ms (B, n-k, k), each
+        frame bit for bit Subspace(base + transversal M).frame, from one
+        stacked SVD; raises OutOfChart for a wrong shape or beyond the box."""
+        Ms = np.asarray(Ms, dtype=float)
+        if Ms.shape[1:] != self.halfwidths.shape:
+            raise OutOfChart(f"coefficient shape {Ms.shape[1:]} != {self.halfwidths.shape}")
+        if not self.contains_coords(Ms):
             raise OutOfChart("coefficients outside the chart box")
-        return Subspace(self.base.frame + self.transversal.frame @ M)
+        return [Subspace._of(F) for F in _frames(self.base.frame + self.transversal.frame @ Ms)]
 
     def coords(self, X: Subspace):
         """Graph coefficients of a plane, raising OutOfChart if not a graph."""
@@ -230,7 +250,8 @@ class GrassmannChart:
         Full row-major lattice while per_axis**dim stays within cap, else the
         first cap points (cap should be a power of two) of the unscrambled
         Joe-Kuo Sobol sequence in Gray-code order, bit for bit scipy's.
-        The base plane's M = 0 is always first.
+        Sorted by distance from M = 0: the base plane is first on the Sobol
+        path and at odd per_axis, but grid(2)[0] is the corner (-h, -h).
         """
         d = self.dim
         shape = self.halfwidths.shape

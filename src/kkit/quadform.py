@@ -121,12 +121,10 @@ def verify_form(F_many, form: SymmetricForm, region: GrassmannChart, seed: int =
     """
     rng = np.random.default_rng(seed)
     k = region.base.dim
-    planes, P = [], []
-    for M in region.sample(rng, count=RECON_VERIFY // 16):
-        X = region.plane(M)
+    planes, P = region.planes(region.sample(rng, count=RECON_VERIFY // 16)), []
+    for X in planes:
         U = rng.normal(size=(16, k))
         U /= np.linalg.norm(U, axis=1)[:, None]
-        planes.append(X)
         P.append((U * rng.uniform(0.5, 1.5, size=(16, 1))) @ X.frame.T)
     P = np.vstack(P)
     q = form.evaluate_many(P)
@@ -191,8 +189,7 @@ def reconstruct_global_form(body: Body, region: GrassmannChart, seed: int = 0):
     plane).  Returns (form, psd_flag); rank and eigenvalues come from the
     form itself.
     """
-    for M in region.grid(RECON_GRID, RECON_CAP):
-        X = region.plane(M)
+    for X in region.planes(region.grid(RECON_GRID, RECON_CAP)):
         form, resid = fit_section_quadric(body, X)
         if form is None:
             raise NotLocallyQuadric(X, resid)

@@ -94,7 +94,7 @@ def test_criterion_02_cylinder_recovery():
     angs = []
     rep = classify(disk_cylinder(), GrassmannChart(XY, 0.2))
     assert rep.verdict == "Cylinder"
-    angs.append(subspace_angle(rep.generatrix, Z))
+    angs.append(subspace_angle(rep.witness["generatrix"], Z))
     F = np.asarray(rep.witness["form"])
     assert rep.witness["rank"] == 2
     form_err = np.abs(F - np.diag([1.0, 1.0, 0.0])).max()
@@ -102,7 +102,7 @@ def test_criterion_02_cylinder_recovery():
 
     rep = classify(box_prism(), GrassmannChart(XY, 0.3), opts=ClassifyOptions(grid_per_axis=5))
     assert rep.verdict == "Cylinder"
-    angs.append(subspace_angle(rep.generatrix, Z))
+    angs.append(subspace_angle(rep.witness["generatrix"], Z))
     assert max(angs) <= 1e-6
     print(
         f"\nPASS criterion 2: cylinder recovery, generatrix errors "

@@ -377,14 +377,14 @@ def test_classify_truncated_cylinder_degenerate_form():
     assert rep.witness["rank"] == 2
     F = np.array(rep.witness["form"])
     assert np.abs(F - np.diag([1.0, 1.0, 0.0])).max() <= 1e-8
-    assert subspace_angle(rep.generatrix, Z) <= 1e-6
+    assert subspace_angle(rep.witness["generatrix"], Z) <= 1e-6
 
 
 def test_classify_box_prism_cylinder():
     opts = ClassifyOptions(grid_per_axis=5)
     rep = classify(box_prism(), GrassmannChart(XY, 0.3), opts=opts)
     assert rep.verdict == "Cylinder"
-    assert subspace_angle(rep.generatrix, Z) <= 1e-6
+    assert subspace_angle(rep.witness["generatrix"], Z) <= 1e-6
     assert rep.diagnostics.get("phi_agrees")
 
 
@@ -401,7 +401,7 @@ def test_classify_verdict_stable_on_subregion():
     rep1 = classify(disk_cylinder(), GrassmannChart(XY, 0.3))
     rep2 = classify(disk_cylinder(), GrassmannChart(XY, 0.12))
     assert rep1.verdict == rep2.verdict == "Cylinder"
-    assert subspace_angle(rep1.generatrix, rep2.generatrix) <= 1e-6
+    assert subspace_angle(rep1.witness["generatrix"], rep2.witness["generatrix"]) <= 1e-6
 
 
 def test_classify_iff_closure_on_refined_grid():

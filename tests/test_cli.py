@@ -111,7 +111,7 @@ def test_gap_path_with_a_form_that_is_not_psd_writes_a_finite_witness(tmp_path, 
     L0 = classifier_module._form_direction(body.Q, region.base)
     viols = [is_contracting(body, X, L0).violation for X in planes]
     first = next(i for i, v in enumerate(viols) if v > DEFAULT_TOL)
-    X = Subspace(np.asarray(rep["witness"]["witness_plane"]))
+    X = Subspace(np.asarray(rep["witness"]["witness_plane"]).T)
     assert X.is_same(planes[first])
     assert rep["witness"]["violation"] == pytest.approx(viols[first], rel=1e-4)
 
@@ -159,7 +159,7 @@ def test_classify_pball_fixture(tmp_path):
     assert code == 2
     assert rep["verdict"] == "NonKakutani"
     assert rep["witness"]["violation"] >= 1e-3
-    assert np.asarray(rep["witness"]["witness_plane"]).shape == (3, 2)
+    assert np.asarray(rep["witness"]["witness_plane"]).shape == (2, 3)
 
 
 def test_near_ellipsoid_report_is_strict_json(tmp_path):
@@ -179,7 +179,7 @@ def test_near_ellipsoid_report_is_strict_json(tmp_path):
     assert rep["verdict"] == "NonKakutani"
     assert rep["diagnostics"]["quadric_failure"] == "InconsistentPropagation"
     assert 0.0 < rep["witness"]["violation"] == rep["diagnostics"]["quadric_residual"]
-    assert np.asarray(rep["witness"]["witness_plane"]).shape == (3, 2)
+    assert np.asarray(rep["witness"]["witness_plane"]).shape == (2, 3)
 
 
 def test_non_finite_report_is_an_error(tmp_path):
@@ -343,6 +343,15 @@ def test_error_exits(tmp_path, capsys):
     # section plots need a plane, not a line
     assert main(["section", str(FIX / "box.json"), str(FIX / "direction_z.json")]) == 1
     capsys.readouterr()
+
+
+def test_grid_below_one_is_an_error(capsys):
+    for cmd in ("classify", "banach"):
+        for grid in ("0", "-1"):
+            argv = [cmd, str(FIX / "box.json"), str(FIX / "region_xy.json"), "--grid", grid]
+            assert main(argv) == 1, (cmd, grid)
+            err = capsys.readouterr().err
+            assert err == f"error: --grid must be at least 1, got {grid}\n", (cmd, grid)
 
 
 def test_malformed_body_is_reported(tmp_path, capsys):

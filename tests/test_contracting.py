@@ -157,7 +157,7 @@ def test_lp_is_bit_for_bit_linprog(monkeypatch):
     from scipy.optimize import linprog
 
     golden = json.loads((GOLDEN / "classify_pball_region_tilted.json").read_text())
-    X = Subspace(np.array(golden["witness"]["witness_plane"]))
+    X = Subspace(np.array(golden["witness"]["witness_plane"]).T)
     lp, lps = contracting_module._lp, []
     monkeypatch.setattr(contracting_module, "_lp", lambda *a: lps.append(a) or lp(*a))
     assert not find_contracting_direction(load_body(FIXTURES / "pball.json"), X)
@@ -595,6 +595,34 @@ def test_is_contracting_meets_the_exact_ellipsoid_violation():
     assert checked >= 30
 
 
+def test_search_reaches_directions_beyond_the_search_span():
+    # an oblique truncated cylinder over XY, whose generatrix has chart
+    # coordinates (2.5, 0) over Z: the master LP's box doubles past
+    # SEARCH_SPAN, and the search's chart builds planes out there
+    g = Subspace.span([2.5, 0.0, 1.0])
+    slab = Cylinder(Polytope([[-1.0], [1.0]]), Z, XY)
+    body = Intersection([Cylinder(Ellipsoid(np.eye(2)), XY, g), slab])
+    res = find_contracting_direction(body, XY)
+    assert len(res.found) == 1 and res.found[0].holds
+    M = GrassmannChart(Z, np.inf, transversal=XY).coords(res.directions[0])
+    assert np.abs(M).max() > contracting_module.SEARCH_SPAN
+    assert subspace_angle(res.directions[0], g) <= 1e-6
+
+
+def test_infinity_ball_certificates_match_the_cube_polytope(box3):
+    # the p = inf ball is the cube: its sampled certificates, refined by the
+    # pattern search, meet the exact vertex maximum near contracting pairs,
+    # where a gradient ascent stalls on the kinks
+    r = rng(37)
+    cube = PBall(np.inf, np.eye(3))
+    for _ in range(5):
+        F = np.eye(3) + 0.03 * r.normal(size=(3, 3))
+        X, Y = Subspace(F[:, :2]), Subspace(F[:, 2:])
+        exact = is_contracting(box3, X, Y).violation
+        assert 0.001 < exact < 0.1
+        assert is_contracting(cube, X, Y).violation == pytest.approx(exact, rel=1e-5)
+
+
 def test_smooth_bodies_climb_and_kinked_ones_keep_the_pattern_search(box3):
     r = rng(36)
     A = r.normal(size=(3, 3)) + 2.0 * np.eye(3)
@@ -603,7 +631,7 @@ def test_smooth_bodies_climb_and_kinked_ones_keep_the_pattern_search(box3):
     for body in (ell, PBall(3.5, A), LinearImage(A, ell), SectionBody(ell, XY), disc):
         assert body.smooth is True
     kinked = Intersection([Ellipsoid(np.diag([1.0, 2.0, 3.0])), box3])
-    for body in (PBall(1.0, A), box3, kinked, LinearImage(A, box3)):
+    for body in (PBall(1.0, A), PBall(np.inf, A), box3, kinked, LinearImage(A, box3)):
         assert body.smooth is False
     # pairs whose sampled violations stay below 0.1, so all are refined
     tilted = Subspace.span([1.0, 0.0, 0.1], [0.0, 1.0, -0.05])

@@ -39,6 +39,32 @@ def test_frames_orthonormal():
         assert np.abs(G - np.eye(k)).max() <= 1e-12
 
 
+def _loop_frame(A):
+    # the per-matrix SVD and column sign loop that the stacked frame replaced
+    U, s, _ = np.linalg.svd(A, full_matrices=False)
+    F = U[:, : int(np.sum(s > linalg_module.RANK_RTOL * s[0]))].copy()
+    for j in range(F.shape[1]):
+        i = int(np.argmax(np.abs(F[:, j])))
+        if F[i, j] < 0:
+            F[:, j] = -F[:, j]
+    return F
+
+
+def test_stacked_frames_match_the_column_sign_loop():
+    r = rng(3)
+    for n, m, rank in ((3, 2, 2), (5, 3, 3), (5, 3, 2), (4, 4, 4), (6, 1, 1)):
+        A = r.normal(size=(12, n, rank)) @ r.normal(size=(12, rank, m))
+        F = linalg_module.orthonormal_frame(A)
+        assert F.shape == (12, n, rank)
+        for a, f in zip(A, F):
+            assert f.tobytes() == _loop_frame(a).tobytes()
+            assert linalg_module.orthonormal_frame(a).tobytes() == f.tobytes()
+    assert linalg_module.orthonormal_frame(np.empty((0, 3, 2))).shape == (0, 3, 2)
+    mixed = np.stack([np.eye(3)[:, :2], np.outer([1.0, 2.0, 0.0], [1.0, 1.0])])
+    with pytest.raises(ValueError):
+        linalg_module.orthonormal_frame(mixed)
+
+
 def test_subspace_equality_is_frame_independent():
     r = rng(2)
     for _ in range(50):
@@ -177,6 +203,31 @@ def test_chart_rejects_out_of_box_and_non_graphs():
     # the yz-plane is no graph over the xy-plane
     with pytest.raises(OutOfChart):
         chart.coords(Subspace.span([0, 0, 1], [0, 1, 0]))
+
+
+def test_chart_planes_match_single_plane_frames_bit_for_bit():
+    r = rng(7)
+    for n in range(3, 6):
+        for k in range(1, n):
+            base = random_subspace(r, n, k)
+            tilt = base.frame @ r.normal(scale=0.3, size=(k, n - k))
+            oblique = Subspace(base.orthogonal_complement().frame + tilt)
+            for transversal in (None, oblique):
+                chart = GrassmannChart(base, 0.5, transversal=transversal)
+                Ms = chart.sample(r, 16)
+                for M, X in zip(Ms, chart.planes(Ms), strict=True):
+                    want = Subspace(chart.base.frame + chart.transversal.frame @ M).frame
+                    assert X.frame.shape == want.shape == (n, k)
+                    assert X.frame.tobytes() == want.tobytes(), (n, k)
+                assert chart.planes(np.empty((0, n - k, k))) == []
+
+
+def test_chart_planes_reject_wrong_shapes_and_out_of_box():
+    chart = GrassmannChart(Subspace.coordinate(3, 0, 1), halfwidths=0.3)
+    with pytest.raises(OutOfChart):
+        chart.planes(np.zeros((2, 2, 1)))
+    with pytest.raises(OutOfChart):
+        chart.planes([np.zeros((1, 2)), np.array([[0.0, 0.5]])])
 
 
 def test_chart_plane_continuity():
