@@ -35,6 +35,7 @@ from .errors import (
 from .linalg import (
     GrassmannChart,
     Subspace,
+    _frames,
     join,
     line_angles,
     meet,
@@ -379,12 +380,17 @@ def _plain(x):
     return x
 
 
-def _form_direction(A, X):
-    """Directions y with Ay orthogonal to X: the A-complement of X, which
-    absorbs the kernel when the form is degenerate."""
-    _, s, Vt = np.linalg.svd(X.frame.T @ A)
-    r = int(np.sum(s > 1e-12 * s[0]))
-    return Subspace(Vt[r:].T)
+def _form_directions(A, planes):
+    """The A-complement {y : Ay orthogonal to X} of each plane X, which absorbs
+    the kernel of a degenerate form: one stacked SVD of X^T A, then one _frames
+    pass per rank r of X^T A, each frame bit for bit Subspace(Vt[r:].T)'s."""
+    _, s, Vt = np.linalg.svd(np.array([X.frame.T for X in planes]) @ A)
+    ranks = np.sum(s > 1e-12 * s[:, :1], axis=1)
+    frames = {}
+    for r in set(ranks.tolist()):
+        ids = np.flatnonzero(ranks == r)
+        frames.update(zip(ids.tolist(), _frames(Vt[ids, r:].transpose(0, 2, 1))))
+    return [Subspace._of(frames[i]) for i in range(len(planes))]
 
 
 def _phi_cross_check(body, region, sample, report):
@@ -504,7 +510,7 @@ def _classify(body, region, opts):
     # warm-started from its form direction and the previous planes'
     # directions.  Multiplicity is only counted at the base plane of a cold
     # sweep (with a verified form the direction is unique anyway)
-    form_dirs = [_form_direction(A, X) for X in planes] if A is not None else []
+    form_dirs = _form_directions(A, planes) if A is not None else []
     held = certify_planes(body, planes, form_dirs, opts.tol) if form_dirs else [None] * len(planes)
     directions, mult, warm = [], [], []
     for i, X in enumerate(planes):

@@ -46,6 +46,12 @@ class CliError(Exception):
     """Bad input surfaced to the user; exits with status 1."""
 
 
+class _Parser(argparse.ArgumentParser):
+    # argument errors reach main as CliError, so they exit 1 like any bad input
+    def error(self, message):
+        raise CliError(message)
+
+
 # ------------------------------------------------------------------ file I/O
 
 
@@ -173,8 +179,6 @@ def _options(args) -> ClassifyOptions:
     if args.tol is not None:
         kw["tol"] = args.tol
     if args.grid is not None:
-        if args.grid < 1:
-            raise CliError(f"--grid must be at least 1, got {args.grid}")
         kw["grid_per_axis"] = args.grid
     return ClassifyOptions(**kw)
 
@@ -301,7 +305,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--report", default=None, help="report path (default stdout)")
     common.add_argument("--svg", default=None, help="SVG output path")
 
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="kkit",
         description="Classify convex bodies from plane sections: "
         "ellipsoid, cylinder, or neither.",
@@ -338,8 +342,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
+        # every command's flags are checked before any input is loaded
+        if args.tol is not None and not 0.0 < args.tol < np.inf:
+            raise CliError(f"--tol must be positive and finite, got {args.tol}")
+        if args.grid is not None and args.grid < 1:
+            raise CliError(f"--grid must be at least 1, got {args.grid}")
+        if args.seed < 0:
+            raise CliError(f"--seed must be at least 0, got {args.seed}")
         with counting() as counts:
             report = args.func(args)
         report.counters = counts

@@ -21,7 +21,8 @@ from .errors import NonComplementary
 from .linalg import (
     GrassmannChart,
     Subspace,
-    projector,
+    complementary,
+    projectors,
     sphere_directions,
     subspace_angle,
 )
@@ -228,14 +229,20 @@ def _test_points(body: Body, dirs):
     return _boundary_sample(body, dirs)
 
 
-def _certify(body: Body, pairs, dirs, tol: float):
-    """Certificates for (X, Y, P) triples, P the projector onto X along Y:
-    the largest gauge increase over the test points of dirs, sampled once.
-    Sampled bodies refine the strongest points of all their pairs in one
-    lockstep search."""
+def _certify(body: Body, planes, directions, dirs, tol: float):
+    """Certificates for the (plane, direction) pairs, None for a pair with no
+    projector: the largest gauge increase over the test points of dirs,
+    sampled once.  Sampled bodies refine the strongest points of all their
+    pairs in one lockstep search."""
+    Ps = projectors(planes, directions)
+    if all(P is None for P in Ps):
+        return Ps
     pts, base = _test_points(body, dirs)
     certs, todo = [], []
-    for X, Y, P in pairs:
+    for X, Y, P in zip(planes, directions, Ps):
+        if P is None:
+            certs.append(None)
+            continue
         v = body.gauge_many(pts @ P.T) - base
         top = np.argpartition(v, -min(REFINE_TOP, len(v)))[-REFINE_TOP:]
         order = top[np.argsort(v[top])[::-1]]
@@ -268,7 +275,7 @@ def is_contracting(
     """
     tally("certificates")
     dirs = sphere_directions(body.dim, CERT_SAMPLES)
-    return _certify(body, [(X, Y, projector(X, Y))], dirs, tol)[0]
+    return complementary(_certify(body, [X], [Y], dirs, tol)[0], X, Y)
 
 
 def certify_planes(body: Body, planes, directions, tol: float = DEFAULT_TOL):
@@ -276,15 +283,7 @@ def certify_planes(body: Body, planes, directions, tol: float = DEFAULT_TOL):
     for a pair that is not complementary: one boundary sample and one
     lockstep refinement serve all pairs.  Not counted under certificates; a
     sweep counts these planes as planes_swept."""
-    pairs = {}
-    for i, (X, Y) in enumerate(zip(planes, directions)):
-        try:
-            pairs[i] = (X, Y, projector(X, Y))
-        except NonComplementary:
-            pass
-    dirs = sphere_directions(body.dim, CERT_SAMPLES)
-    certs = dict(zip(pairs, _certify(body, pairs.values(), dirs, tol)))
-    return [certs.get(i) for i in range(len(planes))]
+    return _certify(body, planes, directions, sphere_directions(body.dim, CERT_SAMPLES), tol)
 
 
 def cylinder_contains(
@@ -301,7 +300,7 @@ def cylinder_contains(
     characterisations can be compared against each other numerically.
     """
     dirs = sphere_directions(body.dim, CERT_SAMPLES) @ _fixed_rotation(body.dim).T
-    return _certify(body, [(X, Y, projector(X, Y))], dirs, tol)[0].holds
+    return complementary(_certify(body, [X], [Y], dirs, tol)[0], X, Y).holds
 
 
 def _fixed_rotation(n: int):

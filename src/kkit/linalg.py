@@ -151,21 +151,37 @@ def line_angles(U, V):
     return np.where(cos**2 <= 0.5, np.arccos(cos), np.arcsin(sin))
 
 
-def projector(X: Subspace, Y: Subspace):
-    """Matrix of the projection onto X along Y (requires dim X + dim Y = n)."""
-    n = X.ambient
-    if X.dim + Y.dim != n or Y.ambient != n:
-        raise NonComplementary(f"dims {X.dim}+{Y.dim} != ambient {n}")
-    M = np.hstack([X.frame, Y.frame])
-    if np.linalg.cond(M) > COND_MAX:
+def complementary(result, X: Subspace, Y: Subspace):
+    """result, raising NonComplementary with the reason where it is None:
+    the pair (X, Y) has no projector."""
+    if result is None:
+        n = X.ambient
+        if X.dim + Y.dim != n or Y.ambient != n:
+            raise NonComplementary(f"dims {X.dim}+{Y.dim} != ambient {n}")
         raise NonComplementary("pair is numerically degenerate")
-    coeffs = np.linalg.solve(M, np.eye(n))
-    return X.frame @ coeffs[: X.dim]
+    return result
 
 
-def project(X: Subspace, Y: Subspace, v):
-    """Point where the affine set v + Y meets X."""
-    return projector(X, Y) @ np.asarray(v, dtype=float)
+def projector(X: Subspace, Y: Subspace):
+    """Matrix of the projection onto X along Y: projectors of the one pair."""
+    return complementary(projectors([X], [Y])[0], X, Y)
+
+
+def projectors(Xs, Ys):
+    """Matrix of the projection onto X along Y for each pair (X, Y) of the
+    lists Xs and Ys, of one ambient dimension n, or None for a pair whose
+    dimensions do not add up to n or whose frames [X Y] have cond above
+    COND_MAX: one stacked cond and one stacked solve serve all pairs."""
+    out = [None] * len(Xs)
+    fit = [i for i, (X, Y) in enumerate(zip(Xs, Ys)) if X.dim + Y.dim == X.ambient == Y.ambient]
+    if fit:
+        M = np.array([np.hstack([Xs[i].frame, Ys[i].frame]) for i in fit])
+        good = np.linalg.cond(M) <= COND_MAX
+        # one identity per pair: numpy 1.x reads a 2-D right-hand side as vectors
+        eyes = np.broadcast_to(np.eye(M.shape[1]), M[good].shape)
+        for i, C in zip(np.compress(good, fit), np.linalg.solve(M[good], eyes)):
+            out[i] = Xs[i].frame @ C[: Xs[i].dim]
+    return out
 
 
 def join(X: Subspace, Y: Subspace) -> Subspace:

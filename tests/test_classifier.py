@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import kkit.classifier as classifier_module
 from kkit.bodies import Ellipsoid, LinearImage, PBall, Polytope, section_samples
 from kkit.classifier import (
     DUAL_POINTS,
@@ -29,6 +30,7 @@ from kkit.linalg import (
     GrassmannChart,
     Subspace,
     orthonormal_frame,
+    projectors,
     random_subspace,
     subspace_angle,
 )
@@ -50,6 +52,37 @@ def box_prism():
             dtype=float,
         )
     )
+
+
+def _plane_form_direction(A, X):
+    """The per-plane form direction, kept as the reference."""
+    _, s, Vt = np.linalg.svd(X.frame.T @ A)
+    r = int(np.sum(s > 1e-12 * s[0]))
+    return Subspace(Vt[r:].T)
+
+
+def test_stacked_form_directions_match_the_per_plane_svd_bit_for_bit():
+    r = np.random.default_rng(21)
+    stacks = []
+    for n, k in ((3, 2), (4, 2), (4, 3), (5, 2), (5, 3), (5, 4)):
+        planes = [random_subspace(r, n, k) for _ in range(10)]
+        # a full-rank form, and a degenerate one of rank n - 1
+        stacks.append((random_spd(r, n, cond=30.0), planes))
+        B = np.linalg.qr(r.normal(size=(n, n)))[0]
+        stacks.append(((B * np.r_[r.uniform(0.5, 2.0, n - 1), 0.0]) @ B.T, planes))
+    # X^T A has rank k on an ordinary plane but k - 1 on a plane that holds
+    # the form's kernel e_3, so one stack carries directions of two dimensions
+    A = np.diag([1.0, 2.0, 3.0, 0.0])
+    mixed = [random_subspace(r, 4, 2), Subspace(np.column_stack([np.eye(4)[3], r.normal(size=4)]))]
+    stacks.append((A, mixed))
+    for A, planes in stacks:
+        got = classifier_module._form_directions(A, planes)
+        for X, Y in zip(planes, got):
+            assert Y.frame.tobytes() == _plane_form_direction(A, X).frame.tobytes()
+    assert [Y.dim for Y in got] == [2, 3]
+    # the kernel plane's direction is not complementary: no certificate, so
+    # the sweep searches that plane
+    assert projectors(mixed, got)[1] is None
 
 
 # ---------------------------------------------------------------- reduce_pair

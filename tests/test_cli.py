@@ -108,7 +108,7 @@ def test_gap_path_with_a_form_that_is_not_psd_writes_a_finite_witness(tmp_path, 
     assert rep["diagnostics"]["form_psd"] is False
     body, region = load_body(FIX / "ellipsoid.json"), load_region(FIX / "region_tilted.json")
     planes = [region.plane(M) for M in region.grid(3)]
-    L0 = classifier_module._form_direction(body.Q, region.base)
+    (L0,) = classifier_module._form_directions(body.Q, [region.base])
     viols = [is_contracting(body, X, L0).violation for X in planes]
     first = next(i for i, v in enumerate(viols) if v > DEFAULT_TOL)
     X = Subspace(np.asarray(rep["witness"]["witness_plane"]).T)
@@ -352,6 +352,37 @@ def test_grid_below_one_is_an_error(capsys):
             assert main(argv) == 1, (cmd, grid)
             err = capsys.readouterr().err
             assert err == f"error: --grid must be at least 1, got {grid}\n", (cmd, grid)
+
+
+def test_flag_and_parse_errors_exit_1_before_any_input_is_read(tmp_path, capsys):
+    # argparse alone exits 2, the code of a certified negative; --tol 0 made
+    # a rounding-level NonKakutani, --tol nan ran the whole classification
+    # and --seed -1 ended in a numpy traceback
+    report = tmp_path / "report.json"
+    inputs = {
+        "classify": ("ellipsoid.json", "region_xy.json"),
+        "banach": ("ellipsoid.json", "region_xy.json"),
+        "contract": ("box.json", "plane_xy.json"),
+        "section": ("box.json", "plane_xy.json"),
+    }
+    bad = [["--tol", t] for t in ("0", "-1", "nan", "inf")] + [["--seed", "-1"], ["--grid", "abc"]]
+    for cmd, files in inputs.items():
+        for flag, value in bad:
+            for body in (str(FIX / files[0]), "no-such.json"):
+                argv = [cmd, body, str(FIX / files[1]), flag, value, "--report", str(report)]
+                assert main(argv) == 1, argv
+                err = capsys.readouterr().err
+                assert err.startswith("error: ") and err.count("\n") == 1, (argv, err)
+                assert flag in err and "no-such.json" not in err, (argv, err)
+                assert not report.exists()
+    for argv in (["classify", str(FIX / "ellipsoid.json")], [], ["bogus"]):
+        assert main(argv + ["--report", str(report)]) == 1, argv
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, (argv, err)
+        assert not report.exists()
+    with pytest.raises(SystemExit) as exc:
+        main(["classify", "--help"])
+    assert exc.value.code == 0
 
 
 def test_malformed_body_is_reported(tmp_path, capsys):

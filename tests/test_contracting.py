@@ -459,6 +459,24 @@ def test_refine_violation_is_bit_identical_to_the_coordinate_loop():
             assert got[1][j].tobytes() == worst.tobytes()
 
 
+def test_noncomplementary_errors_name_the_reason(monkeypatch):
+    # a pair without a projector raises before the boundary is sampled
+    monkeypatch.setattr(contracting_module, "_test_points", None)
+    body = Ellipsoid(np.eye(3))
+    X = Subspace.coordinate(3, 0, 1)
+    wrong_dims = Subspace.coordinate(3, 1, 2)
+    degenerate = Subspace.span([1.0, 0.0, 1e-13])
+    for check in (
+        projector,
+        lambda X, Y: is_contracting(body, X, Y),
+        lambda X, Y: cylinder_contains(body, X, Y),
+    ):
+        with pytest.raises(NonComplementary, match=r"dims 2\+2 != ambient 3"):
+            check(X, wrong_dims)
+        with pytest.raises(NonComplementary, match="pair is numerically degenerate"):
+            check(X, degenerate)
+
+
 def test_certify_planes_matches_is_contracting_bit_for_bit(box3):
     r = rng(33)
     Q = random_spd(r, 3, cond=20.0)

@@ -20,7 +20,7 @@ from kkit.linalg import (
     line_angles,
     meet,
     principal_angles,
-    project,
+    projector,
     random_subspace,
     sphere_directions,
     subspace_angle,
@@ -82,24 +82,24 @@ def test_project_examples():
     # projection onto the x axis along span((1,1)): (3,4) -> (3,4) - 4*(1,1)
     X = Subspace.coordinate(2, 0)
     Y = Subspace.span([1.0, 1.0])
-    assert np.allclose(project(X, Y, [3.0, 4.0]), [-1.0, 0.0], atol=1e-12)
+    assert np.allclose(projector(X, Y) @ [3.0, 4.0], [-1.0, 0.0], atol=1e-12)
     # orthogonal case
     Yp = Subspace.coordinate(2, 1)
-    assert np.allclose(project(X, Yp, [3.0, 4.0]), [3.0, 0.0], atol=1e-12)
+    assert np.allclose(projector(X, Yp) @ [3.0, 4.0], [3.0, 0.0], atol=1e-12)
     # onto xy-plane along z in R^3
     Xp = Subspace.coordinate(3, 0, 1)
     Z = Subspace.coordinate(3, 2)
-    assert np.allclose(project(Xp, Z, [2.0, 5.0, 3.0]), [2.0, 5.0, 0.0], atol=1e-12)
+    assert np.allclose(projector(Xp, Z) @ [2.0, 5.0, 3.0], [2.0, 5.0, 0.0], atol=1e-12)
 
 
 def test_project_rejects_degenerate_pairs():
     X = Subspace.coordinate(3, 0, 1)
     with pytest.raises(NonComplementary):
-        project(X, Subspace.coordinate(3, 0), [1.0, 0.0, 0.0])
+        projector(X, Subspace.coordinate(3, 0))
     # nearly dependent pair: y within 1e-13 of the plane
     Y = Subspace.span([1.0, 0.0, 1e-13])
     with pytest.raises(NonComplementary):
-        project(X, Y, [1.0, 1.0, 1.0])
+        projector(X, Y)
 
 
 def test_projector_is_idempotent_with_correct_range_and_kernel():
@@ -111,12 +111,65 @@ def test_projector_is_idempotent_with_correct_range_and_kernel():
         Y = random_subspace(r, n, n - k)
         try:
             v = r.normal(size=n)
-            p = project(X, Y, v)
+            p = projector(X, Y) @ v
         except NonComplementary:
             continue
         assert X.contains(p)
         assert Y.contains(v - p)
-        assert np.allclose(project(X, Y, p), p, atol=1e-9)
+        assert np.allclose(projector(X, Y) @ p, p, atol=1e-9)
+
+
+def _pair_projector(X, Y):
+    """The per-pair projector, kept as the reference: one cond and one solve,
+    None where the pair is not complementary."""
+    n = X.ambient
+    if X.dim + Y.dim != n or Y.ambient != n:
+        return None
+    M = np.hstack([X.frame, Y.frame])
+    if np.linalg.cond(M) > linalg_module.COND_MAX:
+        return None
+    return X.frame @ np.linalg.solve(M, np.eye(n))[: X.dim]
+
+
+def test_stacked_projectors_match_the_per_pair_solve_bit_for_bit():
+    r = rng(5)
+    for n, k in ((3, 2), (4, 2), (4, 3), (5, 2), (5, 3), (5, 4)):
+        planes = [random_subspace(r, n, k) for _ in range(12)]
+        directions = [random_subspace(r, n, n - k) for _ in range(12)]
+        # a pair of wrong dimensions, and one whose direction leans 1e-13
+        # off the plane (cond about 1e13), mixed into a good stack
+        directions[3] = random_subspace(r, n, n - k + 1)
+        W = planes[7].orthogonal_complement().frame
+        directions[7] = Subspace(np.column_stack([planes[7].frame[:, 0] + 1e-13 * W[:, 0], W[:, 1:]]))
+        got = linalg_module.projectors(planes, directions)
+        assert [P is None for P in got] == [i in (3, 7) for i in range(12)], (n, k)
+        for X, Y, P in zip(planes, directions, got):
+            want = _pair_projector(X, Y)
+            assert (P is None) == (want is None)
+            if want is not None:
+                assert P.tobytes() == want.tobytes(), (n, k)
+                assert projector(X, Y).tobytes() == want.tobytes(), (n, k)
+    assert linalg_module.projectors([], []) == []
+
+
+def test_stacked_projectors_under_numpy_1_solve(monkeypatch):
+    """numpy 1.x reads a right-hand side one dimension below the stack as a
+    stack of vectors; projectors must give the same matrices under that rule."""
+    solve = np.linalg.solve
+
+    def solve_1x(a, b):
+        b = np.asarray(b)
+        return solve(a, b[..., None])[..., 0] if b.ndim == np.ndim(a) - 1 else solve(a, b)
+
+    r = rng(6)
+    for count in (1, 2, 5):
+        planes = [random_subspace(r, 4, 2) for _ in range(count)]
+        directions = [random_subspace(r, 4, 2) for _ in range(count)]
+        want = linalg_module.projectors(planes, directions)
+        monkeypatch.setattr(np.linalg, "solve", solve_1x)
+        got = linalg_module.projectors(planes, directions)
+        monkeypatch.undo()
+        assert all(P.tobytes() == Q.tobytes() for P, Q in zip(got, want)), count
 
 
 def test_meet_join_dimension_formula():
