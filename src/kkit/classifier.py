@@ -127,40 +127,6 @@ def _median_line(D):
     return Subspace(m[:, None])
 
 
-def phi_map(
-    body: Body,
-    region: GrassmannChart,
-    grid: int = 5,
-    tol: float = DEFAULT_TOL,
-    hints=None,
-    count_multiplicity: bool = True,
-) -> PhiSample:
-    """Generatrix line per grid plane of a 3-dimensional region.
-
-    Each line is the first direction the plane's search certifies; a plane
-    with no certified line raises NoGeneratrix.  hints, when given, maps a
-    plane to warm candidate lines (the form-informed path), which is what
-    makes the sample sharp enough for the coplanarity properties.
-    count_multiplicity=False accepts the first certified line per plane;
-    callers may do that when uniqueness is already known (verified strictly
-    convex quadric) since the dichotomy then rests on line separation alone.
-    """
-    if region.base.ambient != 3 or region.base.dim != 2:
-        raise ValueError("phi_map runs on 2-planes in a 3-dimensional space")
-    coords = list(region.grid(grid))
-    pairs, mult = [], []
-    for X in region.planes(coords):
-        warm = tuple(hints(X)) if hints is not None else ()
-        res = find_contracting_direction(
-            body, X, tol, warm=warm, first_only=not count_multiplicity
-        )
-        if not res:
-            raise NoGeneratrix(X, res.best_violation)
-        pairs.append((X, res.found[0].direction))
-        mult.append(len(res.found))
-    return _phi_sample(pairs, mult, coords)
-
-
 def _phi_sample(pairs, mult, coords):
     """PhiSample whose continuity defect is the largest angle between the
     line of a grid point and that of its nearest earlier grid point, over
@@ -349,6 +315,8 @@ class ClassificationReport:
     witness: dict
     diagnostics: dict
     counters: dict = None
+    # the sweep's PhiSample on a 3-dimensional region; to_dict leaves it out
+    phi: PhiSample = None
 
     def to_dict(self):
         """The report as plain JSON types: {verdict, witness, diagnostics,
@@ -393,10 +361,10 @@ def _form_directions(A, planes):
     return [Subspace._of(frames[i]) for i in range(len(planes))]
 
 
-def _phi_cross_check(body, region, sample, report):
+def _phi_cross_check(body, region, report):
     """Stage (d): the projective pipeline, run on the sweep's own planes and
-    certified lines, must predict the report's verdict."""
-    verdict, generatrix = report.verdict, report.witness.get("generatrix")
+    certified lines (report.phi), must predict the report's verdict."""
+    sample, verdict, generatrix = report.phi, report.verdict, report.witness.get("generatrix")
     diagnostics = report.diagnostics
     diagnostics["phi_continuity_defect"] = sample.continuity_defect
     try:
@@ -478,6 +446,20 @@ def classify(
     return report
 
 
+def phi_map(
+    body: Body, region: GrassmannChart, grid: int = 5, tol: float = DEFAULT_TOL
+) -> PhiSample:
+    """Generatrix line per grid plane of a 3-dimensional region: the sample of
+    classify's sweep, the one its phi cross-check reads.  A plane with no
+    certified line raises NoGeneratrix with the report's witness."""
+    if region.base.ambient != 3 or region.base.dim != 2:
+        raise ValueError("phi_map runs on 2-planes in a 3-dimensional space")
+    report = classify(body, region, ClassifyOptions(tol, grid, cross_checks=False))
+    if report.phi is None:
+        raise NoGeneratrix(report.witness["witness_plane"], report.witness["violation"])
+    return report.phi
+
+
 def _classify(body, region, opts):
     n, k = region.base.ambient, region.base.dim
     if k < 2 or n < k + 1:
@@ -534,6 +516,8 @@ def _classify(body, region, opts):
         if i == 0:
             diagnostics["base_multiplicity"] = len(found)
         warm = [found[0].direction] + warm[:1]
+    # on a 3-dimensional region the sweep is the generatrix map
+    phi = _phi_sample(list(zip(planes, directions)), mult, coords) if n == 3 else None
 
     if A is not None:
         rank = form.rank()
@@ -568,14 +552,14 @@ def _classify(body, region, opts):
                 quadric_witness = (failed.plane, failed.violation)
             wplane, wviol = quadric_witness
             witness = {"witness_plane": wplane, "violation": wviol}
-            return ClassificationReport("NonKakutani", witness, diagnostics)
+            return ClassificationReport("NonKakutani", witness, diagnostics, phi=phi)
         witness = {"generatrix": L0, "base_plane": region.base}
         report = ClassificationReport("Cylinder", witness, diagnostics)
 
+    report.phi = phi
     if opts.cross_checks:
-        if n == 3 and k == 2:
-            sample = _phi_sample(list(zip(planes, directions)), mult, coords)
-            _phi_cross_check(body, region, sample, report)
+        if phi is not None:
+            _phi_cross_check(body, region, report)
         if n > k + 1:
             _restriction_cross_check(body, region, opts, report)
     return report

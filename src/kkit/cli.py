@@ -66,18 +66,23 @@ def _load_json(path):
         raise CliError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
 
 
-def _matrix(obj, where):
+def _array(obj, where, ndim=2):
+    """obj as a float matrix, or a number at ndim = 0, or either at None."""
     try:
         M = np.asarray(obj, dtype=float)
     except (TypeError, ValueError) as exc:
-        raise CliError(f"{where}: not a numeric array") from exc
-    if M.ndim != 2:
-        raise CliError(f"{where}: expected a matrix, got shape {M.shape}")
+        raise CliError(f"{where}: not a number or an array of numbers") from exc
+    # null reads as NaN, which is no number either
+    if np.isnan(M).any():
+        raise CliError(f"{where}: not a number or an array of numbers")
+    if ndim is not None and M.ndim != ndim:
+        kind = "a number" if ndim == 0 else "a matrix"
+        raise CliError(f"{where}: expected {kind}, got shape {M.shape}")
     return M
 
 def _subspace(obj, where):
     # frames are stored as lists of column vectors
-    return Subspace(_matrix(obj, where).T)
+    return Subspace(_array(obj, where).T)
 
 
 def body_from_dict(obj, where="body") -> Body:
@@ -91,11 +96,11 @@ def body_from_dict(obj, where="body") -> Body:
 
     kind = obj["type"]
     if kind == "ellipsoid":
-        return Ellipsoid(_matrix(need("Q"), f"{where}.Q"))
+        return Ellipsoid(_array(need("Q"), f"{where}.Q"))
     if kind == "polytope":
-        return Polytope(_matrix(need("vertices"), f"{where}.vertices"))
+        return Polytope(_array(need("vertices"), f"{where}.vertices"))
     if kind == "pball":
-        return PBall(float(need("p")), _matrix(need("A"), f"{where}.A"))
+        return PBall(float(_array(need("p"), f"{where}.p", 0)), _array(need("A"), f"{where}.A"))
     if kind == "cylinder":
         return Cylinder(
             body_from_dict(need("base"), f"{where}.base"),
@@ -104,7 +109,7 @@ def body_from_dict(obj, where="body") -> Body:
         )
     if kind == "linear_image":
         return LinearImage(
-            _matrix(need("A"), f"{where}.A"),
+            _array(need("A"), f"{where}.A"),
             body_from_dict(need("inner"), f"{where}.inner"),
         )
     if kind == "intersection":
@@ -153,8 +158,7 @@ def load_region(path) -> GrassmannChart:
             f"{path}.base: regions sweep k-planes with 2 <= k <= n - 1, "
             f"got k = {base.dim} in R^{base.ambient}"
         )
-    hw = obj.get("halfwidths", 0.2)
-    hw = np.asarray(hw, dtype=float) if isinstance(hw, list) else float(hw)
+    hw = _array(obj.get("halfwidths", 0.2), f"{path}.halfwidths", None)
     kwargs = {}
     if "transversal" in obj:
         kwargs["transversal"] = _subspace(obj["transversal"], f"{path}.transversal")
@@ -169,6 +173,20 @@ def load_plane(path) -> Subspace:
     if isinstance(obj, dict) and "base" in obj:
         return _subspace(obj["base"], f"{path}.base")
     raise CliError(f"{path}: plane files need a 'frame' (or region 'base') field")
+
+
+def _load(args, load_space, *paths):
+    """A command's body and the regions or planes in its other input files
+    (None for an empty path), refused unless all lie in the body's space."""
+    body = load_body(args.body)
+    spaces = [load_space(path) if path else None for path in paths]
+    for path, space in zip(paths, spaces):
+        if space is None:
+            continue
+        n = (space.base if isinstance(space, GrassmannChart) else space).ambient
+        if n != body.dim:
+            raise CliError(f"{path}: lies in R^{n}, but the body {args.body} lies in R^{body.dim}")
+    return [body] + spaces
 
 
 # ----------------------------------------------------------------- run plumbing
@@ -198,12 +216,12 @@ def write_report(doc: dict, path) -> None:
 
 
 def cmd_classify(args) -> ClassificationReport:
-    body, region = load_body(args.body), load_region(args.region)
+    body, region = _load(args, load_region, args.region)
     return classify(body, region, opts=_options(args))
 
 
 def cmd_banach(args) -> ClassificationReport:
-    body, region = load_body(args.body), load_region(args.region)
+    body, region = _load(args, load_region, args.region)
     if region.base.dim not in (2, 3):
         raise CliError(f"{args.region}.base: banach needs k = 2 or 3, got k = {region.base.dim}")
     kw = {"tol": args.tol} if args.tol is not None else {}
@@ -216,10 +234,9 @@ def cmd_banach(args) -> ClassificationReport:
 
 
 def cmd_contract(args) -> ClassificationReport:
-    body, X = load_body(args.body), load_plane(args.plane)
+    body, X, Y = _load(args, load_plane, args.plane, args.direction)
     tol = args.tol if args.tol is not None else DEFAULT_TOL
-    if args.direction:
-        Y = load_plane(args.direction)
+    if Y is not None:
         cert = is_contracting(body, X, Y, tol=tol)
         verdict = "Contracting" if cert.holds else "NotContracting"
         witness = {"direction": Y, "plane": X, "violation": cert.violation}
@@ -270,7 +287,7 @@ def render_section_svg(points, overlay=None) -> str:
 
 
 def cmd_section(args) -> ClassificationReport:
-    body, X = load_body(args.body), load_plane(args.plane)
+    body, X = _load(args, load_plane, args.plane)
     if X.dim != 2:
         raise CliError("section plots need a 2-dimensional plane")
     sample = section_samples(body, X, SVG_SEGMENTS)

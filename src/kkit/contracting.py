@@ -248,11 +248,9 @@ def _certify(body: Body, planes, directions, dirs, tol: float):
         order = top[np.argsort(v[top])[::-1]]
         viol = float(v[order[0]])
         certs.append(ContractionCertificate(X, Y, viol, viol <= tol, pts[order[0]]))
-        # polytope vertices are exact, and a catastrophic sampled violation
-        # already decides the certificate
-        if not isinstance(body, Polytope) and viol <= max(100.0 * tol, 0.1):
-            todo.append((certs[-1], P, pts[order], viol))
-    if todo:
+        todo.append((certs[-1], P, pts[order], viol))
+    # polytope vertices are exact; every sampled certificate is refined
+    if not isinstance(body, Polytope):
         pending, Ps, seeds, start = zip(*todo)
         viols, worst = _refine(body, *map(np.array, (Ps, seeds, start)))
         for cert, viol, w in zip(pending, viols.tolist(), worst):

@@ -319,10 +319,7 @@ def test_criterion_09_collinearity_and_duality():
         assert defect <= 1e-8
         worst = max(worst, defect)
 
-    sample = phi_map(
-        body, GrassmannChart(XY, 0.25), grid=3,
-        hints=lambda X: [q_complement(Q, X)], count_multiplicity=False,
-    )
+    sample = phi_map(body, GrassmannChart(XY, 0.25), grid=3)
     dual = fit_projective_dual(body, sample)
     dual_err = np.abs(dual.F / np.linalg.norm(dual.F) - Q / np.linalg.norm(Q)).max()
     assert dual_err <= 1e-6

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -18,6 +20,7 @@ from kkit.classifier import (
     support_check,
     tangent_field_fit,
 )
+from kkit.cli import load_body, load_region
 from kkit.contracting import find_contracting_direction
 from kkit.errors import (
     AmbiguousDichotomy,
@@ -37,6 +40,7 @@ from kkit.linalg import (
 
 from conftest import disk_cylinder, random_spd
 
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 XY = Subspace.coordinate(3, 0, 1)
 Z = Subspace.coordinate(3, 2)
 
@@ -186,13 +190,7 @@ def test_phi_injective_on_ellipsoid():
     Q = np.diag([1.0, 2.0, 3.0])
     body = Ellipsoid(Q)
     region = GrassmannChart(XY, 0.25)
-    sample = phi_map(
-        body,
-        region,
-        grid=3,
-        hints=lambda X: [q_complement(Q, X)],
-        count_multiplicity=False,
-    )
+    sample = phi_map(body, region, grid=3)
     for X, L in sample.pairs:
         assert subspace_angle(L, q_complement(Q, X)) <= 1e-6
     out = injectivity_test(sample)
@@ -214,15 +212,59 @@ def test_phi_raises_no_generatrix():
         phi_map(body, GrassmannChart(bad, 0.05), grid=2)
 
 
+def assert_same_sample(got, want):
+    """Two PhiSamples equal bit for bit: frames, multiplicities, coords and
+    continuity defect."""
+    for (X, L), (Xw, Lw) in zip(got.pairs, want.pairs, strict=True):
+        assert X.frame.tobytes() == Xw.frame.tobytes() and L.frame.tobytes() == Lw.frame.tobytes()
+    assert got.multiplicity == want.multiplicity
+    assert np.array(got.coords).tobytes() == np.array(want.coords).tobytes()
+    assert got.continuity_defect == want.continuity_defect
+
+
+def test_phi_map_is_the_sample_the_phi_cross_check_reads(monkeypatch):
+    # one sweep: phi_map returns the very lines classify certifies, with the
+    # multiplicity counted where the sweep counts it (the base plane of a
+    # cold sweep), not a search of its own per plane
+    seen = []
+    real = classifier_module._phi_cross_check
+
+    def capture(body, region, report):
+        seen.append(report.phi)
+        real(body, region, report)
+
+    monkeypatch.setattr(classifier_module, "_phi_cross_check", capture)
+    ellipsoid = load_body(FIXTURES / "ellipsoid.json"), load_region(FIXTURES / "region_xy.json")
+    for body, region in (ellipsoid, (box_prism(), GrassmannChart(XY, 0.2))):
+        seen.clear()
+        report = classify(body, region, ClassifyOptions(grid_per_axis=3))
+        assert set(report.to_dict()) == {"verdict", "witness", "diagnostics", "timings"}
+        (want,) = seen
+        assert report.phi is want and len(want.pairs) == 9
+        assert_same_sample(phi_map(body, region, grid=3), want)
+
+
+def test_phi_map_returns_the_sweep_on_the_gap_path(monkeypatch):
+    # a verified form that is not PSD: every plane contracts, the shared
+    # generatrix fails, and the NonKakutani report keeps the sweep's sample
+    real = classifier_module.reconstruct_global_form
+    monkeypatch.setattr(
+        classifier_module,
+        "reconstruct_global_form",
+        lambda body, region, seed: (real(body, region, seed=seed)[0], False),
+    )
+    body = load_body(FIXTURES / "ellipsoid.json")
+    region = load_region(FIXTURES / "region_tilted.json")
+    report = classify(body, region, ClassifyOptions(grid_per_axis=3))
+    assert report.verdict == "NonKakutani" and report.phi is not None
+    sample = phi_map(body, region, grid=3)
+    assert len(sample.pairs) == 9
+    assert_same_sample(sample, report.phi)
+
+
 def test_phi_continuity_defect_small_on_fine_grid():
     Q = np.diag([1.0, 1.5, 2.0])
-    sample = phi_map(
-        Ellipsoid(Q),
-        GrassmannChart(XY, 0.1),
-        grid=5,
-        hints=lambda X: [q_complement(Q, X)],
-        count_multiplicity=False,
-    )
+    sample = phi_map(Ellipsoid(Q), GrassmannChart(XY, 0.1), grid=5)
     assert sample.continuity_defect <= 0.2
     # the loop the defect was taken by before it was batched: each grid
     # point against its nearest earlier point
@@ -274,10 +316,7 @@ def test_dual_fit_matches_quadric():
     Q = np.diag([1.0, 2.0, 3.0])
     body = Ellipsoid(Q)
     region = GrassmannChart(XY, 0.25)
-    sample = phi_map(
-        body, region, grid=3, hints=lambda X: [q_complement(Q, X)],
-        count_multiplicity=False,
-    )
+    sample = phi_map(body, region, grid=3)
     dual = fit_projective_dual(body, sample)
     assert dual.fit_residual <= 1e-8
     F = dual.F / np.linalg.norm(dual.F)
@@ -288,10 +327,7 @@ def test_dual_fit_matches_quadric():
 
 def test_dual_fit_sphere_is_identity():
     body = Ellipsoid(np.eye(3))
-    sample = phi_map(
-        body, GrassmannChart(XY, 0.25), grid=3,
-        hints=lambda X: [X.orthogonal_complement()], count_multiplicity=False,
-    )
+    sample = phi_map(body, GrassmannChart(XY, 0.25), grid=3)
     dual = fit_projective_dual(body, sample)
     F = dual.F / dual.F[0, 0]
     assert np.abs(F - np.eye(3)).max() <= 1e-9
@@ -301,10 +337,7 @@ def test_duality_incidence():
     # the dual functional at a boundary point annihilates the plane's image
     Q = np.diag([1.0, 2.0, 3.0])
     body = Ellipsoid(Q)
-    sample = phi_map(
-        body, GrassmannChart(XY, 0.25), grid=3,
-        hints=lambda X: [q_complement(Q, X)], count_multiplicity=False,
-    )
+    sample = phi_map(body, GrassmannChart(XY, 0.25), grid=3)
     dual = fit_projective_dual(body, sample)
     for X, L in sample.pairs:
         d = L.frame[:, 0]
@@ -335,10 +368,7 @@ def test_batched_dual_fit_matches_the_point_loop():
     for grid in (3, 4):
         Q = random_spd(r, 3, cond=6.0)
         body = Ellipsoid(Q)
-        sample = phi_map(
-            body, GrassmannChart(random_subspace(r, 3, 2), 0.2), grid=grid,
-            hints=lambda X: [q_complement(Q, X)], count_multiplicity=False,
-        )
+        sample = phi_map(body, GrassmannChart(random_subspace(r, 3, 2), 0.2), grid=grid)
         dual = fit_projective_dual(body, sample)
         F, resid = _dual_by_point_loop(body, sample)
         assert np.abs(dual.F - F).max() <= 1e-12

@@ -344,6 +344,37 @@ def test_error_exits(tmp_path, capsys):
     assert main(["section", str(FIX / "box.json"), str(FIX / "direction_z.json")]) == 1
     capsys.readouterr()
 
+    def one_error_line(argv, *words):
+        assert main([str(a) for a in argv]) == 1, argv
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, (argv, err)
+        assert all(w in err for w in words), (argv, err)
+
+    # halfwidths and p that are no numbers
+    for hw in ('"abc"', "null", '[[0.2, "x"]]'):
+        region = tmp_path / "hw.json"
+        region.write_text(f'{{"base": [[1, 0, 0], [0, 1, 0]], "halfwidths": {hw}}}')
+        one_error_line(["classify", FIX / "ellipsoid.json", region], "halfwidths")
+    for p in ('"abc"', "null"):
+        pball = tmp_path / "pball.json"
+        pball.write_text(f'{{"type": "pball", "p": {p}, "A": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]}}')
+        one_error_line(["classify", pball, FIX / "region_xy.json"], ".p")
+
+    # a body whose space is not its plane's, region's or direction's: each
+    # error names both dimensions
+    ell2 = tmp_path / "ell2.json"
+    ell2.write_text('{"type": "ellipsoid", "Q": [[1, 0], [0, 2]]}')
+    for cmd in ("classify", "banach"):
+        one_error_line([cmd, ell2, FIX / "region_xy.json"], "R^3", "R^2")
+    for cmd in ("contract", "section"):
+        one_error_line([cmd, ell2, FIX / "plane_xy.json"], "R^3", "R^2")
+    plane4 = tmp_path / "plane4.json"
+    plane4.write_text('{"frame": [[1, 0, 0, 0], [0, 1, 0, 0]]}')
+    one_error_line(["contract", FIX / "ellipsoid.json", plane4], "R^4", "R^3")
+    one_error_line(
+        ["contract", FIX / "ellipsoid.json", FIX / "plane_xy.json", plane4], "R^4", "R^3"
+    )
+
 
 def test_grid_below_one_is_an_error(capsys):
     for cmd in ("classify", "banach"):
