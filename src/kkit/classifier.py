@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bodies import Body, SectionBody, section_samples
+from .bodies import GENERATRIX_TOL, Body, SectionBody, section_samples
 from .contracting import (
     DEFAULT_TOL,
     certify_planes,
@@ -24,6 +24,7 @@ from .errors import (
     AmbiguousDichotomy,
     DegenerateFit,
     DegenerateFixedPoint,
+    DirectionInGeneratrix,
     InconsistentPropagation,
     NoGeneratrix,
     NonComplementary,
@@ -194,24 +195,25 @@ def support_check(body: Body, dual: ProjectiveDual) -> float:
     For each of SUPPORT_POINTS boundary points the affine kernel plane is
     sampled on SUPPORT_ANGLES x radii (radius 0 keeps p itself); the defect
     at p is max(0, 1 - min gauge over the samples) and the check returns the
-    max.
+    max, or 1 where F p vanishes.  All points share one gauge evaluation, one
+    stacked orthonormal_frame and one gauge evaluation of the plane samples.
     """
-    worst = 0.0
     radii = np.array([0.0, 0.25, 0.5, 1.0, 2.0, 4.0])
     ang = np.linspace(0.0, np.pi, SUPPORT_ANGLES, endpoint=False)
-    for v in sphere_directions(3, SUPPORT_POINTS):
-        p = body.boundary_point(v)
-        ell = dual.F @ p
-        nrm = np.linalg.norm(ell)
-        if nrm < 1e-14:
-            worst = max(worst, 1.0)
-            continue
-        T = orthonormal_frame(np.eye(3) - np.outer(ell, ell) / nrm**2)
-        U = np.column_stack([np.cos(ang), np.sin(ang)]) @ T.T
-        Q = p[None, :] + (radii[:, None, None] * U[None, :, :]).reshape(-1, 3)
-        g = body.gauge_many(Q)
-        worst = max(worst, max(0.0, 1.0 - float(g.min())))
-    return worst
+    V = sphere_directions(3, SUPPORT_POINTS)
+    g = body.gauge_many(V)
+    if np.any(g <= GENERATRIX_TOL * np.maximum(1.0, np.linalg.norm(V, axis=1))):
+        raise DirectionInGeneratrix("gauge vanishes along this direction")
+    P = V / g[:, None]
+    ell = P @ dual.F.T
+    nrm = np.linalg.norm(ell, axis=1)
+    if np.any(nrm < 1e-14):
+        return 1.0
+    T = orthonormal_frame(np.eye(3) - ell[:, :, None] * ell[:, None, :] / nrm[:, None, None] ** 2)
+    U = np.column_stack([np.cos(ang), np.sin(ang)]) @ T.swapaxes(1, 2)
+    Q = P[:, None, None] + radii[:, None, None] * U[:, None]
+    g = body.gauge_many(Q.reshape(-1, 3)).reshape(len(P), -1)
+    return float(np.maximum(0.0, 1.0 - g.min(axis=1)).max())
 
 
 def tangent_field_fit(section):
@@ -245,7 +247,8 @@ def reduce_pair(
     """Combine two contracting hyperplane/line pairs into (W, Z) one
     dimension down, with the contraction factor of T = pr1 o pr2 on Z cap X1.
 
-    The certificate is is_contracting(body, W, Z); 32 probes confirm that
+    Both pairs are certified in one certify_planes call.  The certificate
+    is is_contracting(body, W, Z); 32 probes confirm that
     the T-iteration limit (or midpoint at lambda = -1) reproduces the
     oblique projection onto W along Z.
     """
@@ -256,12 +259,9 @@ def reduce_pair(
         raise SameHyperplane("the two hyperplanes coincide")
     if L1.is_same(L2):
         raise SharedLine("the two lines coincide")
-    for X, L in ((X1, L1), (X2, L2)):
-        cert = is_contracting(body, X, L, DEFAULT_TOL)
-        if not cert.holds:
-            raise PreconditionNotContracting(
-                f"pair not contracting: violation {cert.violation:.3e}"
-            )
+    failed = first_failure(certify_planes(body, [X1, X2], [L1, L2], DEFAULT_TOL))
+    if failed is not None:
+        raise PreconditionNotContracting(f"pair not contracting: violation {failed.violation:.3e}")
     W = meet(X1, X2)
     Z = join(L1, L2)
     if meet(W, Z).dim != 0:
@@ -269,9 +269,7 @@ def reduce_pair(
     L = meet(Z, X1)
     if L.dim != 1:
         raise PreconditionNotContracting("Z meets X1 in dimension != 1")
-    P1 = projector(X1, L1)
-    P2 = projector(X2, L2)
-    T = P1 @ P2
+    T = projector(X1, L1) @ projector(X2, L2)
     u = L.frame[:, 0]
     Tu = T @ u
     lam = float(Tu @ u)
@@ -281,19 +279,15 @@ def reduce_pair(
     if abs(lam - 1.0) <= 1e-9:
         raise DegenerateFixedPoint("T fixes Z cap X1 pointwise")
 
-    rng = np.random.default_rng(0)
-    probes = X1.frame @ rng.normal(size=(X1.dim, 32))
-    Q = probes.T
+    Q = (X1.frame @ np.random.default_rng(0).normal(size=(X1.dim, 32))).T
     if abs(lam + 1.0) <= 1e-9:
         lim = 0.5 * (Q + Q @ T.T)
     else:
-        lim = Q.copy()
+        lim = Q
         for _ in range(200_000):
-            nxt = lim @ T.T
-            if np.abs(nxt - lim).max() <= 1e-13:
-                lim = nxt
+            lim, prev = lim @ T.T, lim
+            if np.abs(lim - prev).max() <= 1e-13:
                 break
-            lim = nxt
     direct = Q @ projector(W, Z).T
     scale = np.maximum(1.0, np.linalg.norm(Q, axis=1))
     probe_error = float((np.linalg.norm(lim - direct, axis=1) / scale).max())
@@ -472,9 +466,7 @@ def _classify(body, region, opts):
     # expected direction on every plane, so the sweep below reduces to a
     # chain of certificates instead of cold searches (the sweep still runs
     # and still gates the verdict)
-    form = None
-    psd = None
-    quadric_witness = None
+    form = psd = quadric_witness = None
     try:
         form, psd = reconstruct_global_form(body, region, seed=opts.seed)
         diagnostics["form_psd"] = psd
@@ -483,7 +475,6 @@ def _classify(body, region, opts):
         diagnostics["quadric_failure"] = type(exc).__name__
         diagnostics["quadric_residual"] = exc.residual
         quadric_witness = (exc.plane, exc.residual)
-        form = None
 
     A = form.ambient_coeffs if form is not None and psd else None
 
@@ -539,9 +530,11 @@ def _classify(body, region, opts):
                 diagnostics,
             )
     else:
-        # (c) constant direction: cylinder over the base section
+        # (c) constant direction: cylinder over the base section; the sweep
+        # already certified L0 on the planes whose direction it is
         L0 = directions[0]
-        failed = first_failure(certify_planes(body, planes, [L0] * len(planes), opts.tol))
+        rest = [X for X, L in zip(planes, directions) if L is not L0]
+        failed = first_failure(certify_planes(body, rest, [L0] * len(rest), opts.tol))
         if failed is not None:
             # gap: planes contract individually but no global structure
             # exists; report the strongest structural failure as witness

@@ -67,14 +67,14 @@ def _load_json(path):
 
 
 def _array(obj, where, ndim=2):
-    """obj as a float matrix, or a number at ndim = 0, or either at None."""
+    """obj as a finite float matrix, or a number at ndim = 0, or either at None."""
     try:
         M = np.asarray(obj, dtype=float)
     except (TypeError, ValueError) as exc:
         raise CliError(f"{where}: not a number or an array of numbers") from exc
-    # null reads as NaN, which is no number either
-    if np.isnan(M).any():
-        raise CliError(f"{where}: not a number or an array of numbers")
+    # null reads as NaN, which is no number either, and no entry may be infinite
+    if not np.isfinite(M).all():
+        raise CliError(f"{where}: not a finite number or an array of finite numbers")
     if ndim is not None and M.ndim != ndim:
         kind = "a number" if ndim == 0 else "a matrix"
         raise CliError(f"{where}: expected {kind}, got shape {M.shape}")
@@ -100,13 +100,20 @@ def body_from_dict(obj, where="body") -> Body:
     if kind == "polytope":
         return Polytope(_array(need("vertices"), f"{where}.vertices"))
     if kind == "pball":
-        return PBall(float(_array(need("p"), f"{where}.p", 0)), _array(need("A"), f"{where}.A"))
+        # p = Infinity, the cube, is the one infinite number a file may hold
+        p = np.inf if need("p") == np.inf else float(_array(obj["p"], f"{where}.p", 0))
+        return PBall(p, _array(need("A"), f"{where}.A"))
     if kind == "cylinder":
-        return Cylinder(
-            body_from_dict(need("base"), f"{where}.base"),
-            _subspace(need("plane"), f"{where}.plane"),
-            _subspace(need("generatrix"), f"{where}.generatrix"),
-        )
+        # the base is read in the plane's column coordinates, C = frame^T F;
+        # C folds into a linear_image base, so round trips do not nest images
+        base = body_from_dict(need("base"), f"{where}.base")
+        F = _array(need("plane"), f"{where}.plane").T
+        plane = Subspace(F)
+        C = plane.frame.T @ F
+        if C.shape == (base.dim, base.dim) and not np.array_equal(C, np.eye(base.dim)):
+            A, inner = (C @ base.A, base.inner) if isinstance(base, LinearImage) else (C, base)
+            base = LinearImage(A, inner)
+        return Cylinder(base, plane, _subspace(need("generatrix"), f"{where}.generatrix"))
     if kind == "linear_image":
         return LinearImage(
             _array(need("A"), f"{where}.A"),

@@ -504,11 +504,12 @@ def find_contracting_direction(
 ) -> DirectionSearchResult:
     """Search Gr_{n-k} for directions making X contracting.
 
-    Warm candidates are certified first; with first_only the first certified
-    direction short circuits the search.  Then one convex solve runs on the
-    unboxed chart of directions over Y0 = X^perp, over the coarse sample and
-    plane layers; without first_only the certified far ends of its near-argmin
-    set count as further directions, deduplicated at DEDUP_ANGLE.
+    The distinct warm candidates are certified first, in one call; with
+    first_only the first that holds, in order, short circuits the search.
+    Then one convex solve runs on the unboxed chart of directions over Y0 =
+    X^perp, over the coarse sample and plane layers; without first_only the
+    far ends of its near-argmin set, certified in a second call, count as
+    further directions, deduplicated at DEDUP_ANGLE.
     """
     tally("direction_searches")
     n, k = X.ambient, X.dim
@@ -516,24 +517,22 @@ def find_contracting_direction(
     chart = GrassmannChart(Y0, np.inf, transversal=X)
     best_viol = np.inf
 
-    # certified warm candidates short-circuit when only existence matters
+    # distinct warm candidates in one stacked call; one with no projector (wrong
+    # shape, or degenerate) has no certificate
     found = []
     start = np.zeros((k, n - k))
-    for Yc in warm:
-        if Yc.ambient != n or Yc.dim != n - k:
-            continue
-        try:
-            cert = is_contracting(body, X, Yc, tol)
-        except NonComplementary:
+    warm = list({id(Y): Y for Y in warm}.values())
+    for cert in certify_planes(body, [X] * len(warm), warm, tol):
+        if cert is None:
             continue
         if cert.holds:
             found.append(cert)
             if first_only:
                 return DirectionSearchResult(X, found, cert.violation)
         if cert.violation < best_viol:
-            # start from the best; its certificate accepted cond([X Yc]),
-            # which bounds cond(Y0^T Yc), so Yc is a graph over Y0
-            best_viol, start = cert.violation, chart.coords(Yc)
+            # start from the best; its certificate accepted cond([X Y]),
+            # which bounds cond(Y0^T Y), so Y is a graph over Y0
+            best_viol, start = cert.violation, chart.coords(cert.direction)
 
     dirs = np.vstack([sphere_directions(n, SEARCH_SAMPLES), _plane_layers(X)])
     cert, M, sample, lb = _solve(body, chart, start, dirs, tol)
@@ -543,10 +542,8 @@ def find_contracting_direction(
         if not first_only:
             # lb is at most the minimum, so this level set lies inside the
             # minimum's own NEAR tol sublevel set
-            for Y in chart.planes(_near_argmin_ends(body, X, Y0, M, lb + NEAR * tol, sample)):
-                end = is_contracting(body, X, Y, tol)
-                if end.holds:
-                    found.append(end)
+            ends = chart.planes(_near_argmin_ends(body, X, Y0, M, lb + NEAR * tol, sample))
+            found += [c for c in certify_planes(body, [X] * len(ends), ends, tol) if c and c.holds]
     unique = []
     for c in sorted(found, key=lambda c: c.violation):
         if all(subspace_angle(c.direction, u.direction) > DEDUP_ANGLE for u in unique):

@@ -34,8 +34,9 @@ def orthonormal_frame(vectors):
     """Orthonormal basis (columns) for the span of the given columns, or a
     stack of such bases for a stack of matrices, which must share one rank.
 
-    Column signs are canonicalized (largest entry positive) so equal spans
-    produce identical frames, which keeps downstream output deterministic.
+    Column signs are canonicalized (largest entry positive), so one input
+    gives one frame and output stays deterministic; two bases of one span
+    may still give frames that differ by a rotation within it.
     """
     A = np.atleast_2d(np.asarray(vectors, dtype=float))
     if A.size == 0:

@@ -4,9 +4,12 @@ import numpy as np
 import pytest
 
 import kkit.classifier as classifier_module
-from kkit.bodies import Ellipsoid, LinearImage, PBall, Polytope, section_samples
+import kkit.contracting as contracting_module
+from kkit.bodies import Cylinder, Ellipsoid, LinearImage, PBall, Polytope, section_samples
 from kkit.classifier import (
     DUAL_POINTS,
+    SUPPORT_ANGLES,
+    SUPPORT_POINTS,
     ClassifyOptions,
     ConstantLine,
     Injective,
@@ -24,7 +27,9 @@ from kkit.cli import load_body, load_region
 from kkit.contracting import find_contracting_direction
 from kkit.errors import (
     AmbiguousDichotomy,
+    DirectionInGeneratrix,
     NoGeneratrix,
+    NonComplementary,
     PreconditionNotContracting,
     SameHyperplane,
     SharedLine,
@@ -35,6 +40,7 @@ from kkit.linalg import (
     orthonormal_frame,
     projectors,
     random_subspace,
+    sphere_directions,
     subspace_angle,
 )
 
@@ -150,6 +156,11 @@ def test_reduce_error_taxonomy():
     # an oblique line is never contracting for the sphere
     with pytest.raises(PreconditionNotContracting):
         reduce_pair(body, XY, Subspace.span([0.5, 0.0, 1.0]), X2, L2)
+    # a line inside its hyperplane has no projector, whichever pair it is in
+    with pytest.raises(NonComplementary):
+        reduce_pair(body, XY, Subspace.coordinate(3, 0), X2, L2)
+    with pytest.raises(NonComplementary):
+        reduce_pair(body, XY, Z, X2, Subspace.coordinate(3, 1))
 
 
 def test_reduce_random_certified_instances():
@@ -375,6 +386,58 @@ def test_batched_dual_fit_matches_the_point_loop():
         assert abs(dual.fit_residual - resid) <= 1e-12
 
 
+def _support_check_by_point_loop(body, dual):
+    """The per-point support check, kept as the reference."""
+    worst = 0.0
+    radii = np.array([0.0, 0.25, 0.5, 1.0, 2.0, 4.0])
+    ang = np.linspace(0.0, np.pi, SUPPORT_ANGLES, endpoint=False)
+    for v in sphere_directions(3, SUPPORT_POINTS):
+        p = body.boundary_point(v)
+        ell = dual.F @ p
+        nrm = np.linalg.norm(ell)
+        if nrm < 1e-14:
+            worst = max(worst, 1.0)
+            continue
+        T = orthonormal_frame(np.eye(3) - np.outer(ell, ell) / nrm**2)
+        U = np.column_stack([np.cos(ang), np.sin(ang)]) @ T.T
+        Q = p[None, :] + (radii[:, None, None] * U[None, :, :]).reshape(-1, 3)
+        g = body.gauge_many(Q)
+        worst = max(worst, max(0.0, 1.0 - float(g.min())))
+    return worst
+
+
+def test_support_check_matches_the_point_loop():
+    # the fixture duals, each also corrupted off its diagonal
+    cases = []
+    region = load_region(FIXTURES / "region_xy.json")
+    for name in ("ellipsoid.json", "sheared.json"):
+        body = load_body(FIXTURES / name)
+        dual = fit_projective_dual(body, phi_map(body, region, grid=3))
+        C = dual.F.copy()
+        C[0, 1] += 0.1
+        C[1, 0] += 0.1
+        cases += [(body, dual), (body, ProjectiveDual(C / np.linalg.norm(C), 0.0))]
+    for body, dual in cases:
+        assert support_check(body, dual) == _support_check_by_point_loop(body, dual)
+    assert cases[0][0] is cases[1][0] and support_check(*cases[1]) > 1e-3
+
+
+def test_support_check_vanishing_gauge_and_zero_covector():
+    v = sphere_directions(3, SUPPORT_POINTS)[5]
+    line = Subspace(v[:, None])
+    # the gauge vanishes along the sample direction v: no boundary point
+    body = Cylinder(Ellipsoid(np.eye(2)), line.orthogonal_complement(), line)
+    dual = ProjectiveDual(np.eye(3) / np.sqrt(3.0), 0.0)
+    for check in (support_check, _support_check_by_point_loop):
+        with pytest.raises(DirectionInGeneratrix):
+            check(body, dual)
+    # F p vanishes at the unit ball's sample point p = v: no kernel plane
+    ball = Ellipsoid(np.eye(3))
+    F = np.eye(3) - np.outer(v, v)
+    zero = ProjectiveDual(F / np.linalg.norm(F), 0.0)
+    assert support_check(ball, zero) == _support_check_by_point_loop(ball, zero) == 1.0
+
+
 def test_support_check_accepts_truth_and_flags_corruption():
     Q = np.diag([1.0, 2.0, 3.0])
     body = Ellipsoid(Q)
@@ -508,3 +571,30 @@ def test_classify_report_deterministic():
 def test_classify_rejects_bad_region():
     with pytest.raises(ValueError):
         classify(Ellipsoid(np.eye(3)), GrassmannChart(Subspace.coordinate(3, 0), 0.2))
+
+
+def test_cold_sweep_certifies_no_pair_twice(monkeypatch):
+    # every (plane, direction) pair that a cold sweep certifies is new, by
+    # object: the chain's repeated warm direction and the shared-generatrix
+    # test's planes that the sweep already certified with L0 add none
+    real = contracting_module._certify
+    pairs = []
+
+    def recorded(body, planes, directions, *args):
+        pairs.extend(zip(planes, directions))
+        return real(body, planes, directions, *args)
+
+    monkeypatch.setattr(contracting_module, "_certify", recorded)
+    ang = np.arange(6) * np.pi / 3.0
+    hexagon = np.column_stack([np.cos(ang), np.sin(ang)])
+    prism = Polytope(np.vstack([np.column_stack([hexagon, np.full(6, h)]) for h in (-1.0, 1.0)]))
+    cases = [
+        (prism, GrassmannChart(XY, 0.2), "Cylinder"),
+        (load_body(FIXTURES / "pball.json"), load_region(FIXTURES / "region_tilted.json"), "NonKakutani"),
+    ]
+    for body, region, verdict in cases:
+        pairs.clear()
+        rep = classify(body, region)
+        assert rep.verdict == verdict and "quadric_failure" in rep.diagnostics
+        # pairs holds every object, so no id is reused
+        assert len({(id(X), id(Y)) for X, Y in pairs}) == len(pairs) > 0

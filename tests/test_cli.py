@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import kkit.classifier as classifier_module
+from kkit.bodies import Cylinder, Ellipsoid, Intersection, LinearImage, PBall
 from kkit.cli import (
     CliError,
     body_from_dict,
@@ -18,6 +19,8 @@ from kkit.cli import (
 )
 from kkit.contracting import DEFAULT_TOL, is_contracting
 from kkit.linalg import Subspace
+
+from conftest import random_polytope, random_spd
 
 FIX = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -76,6 +79,53 @@ def test_round_trip_gauge():
         assert np.abs(body.gauge_many(V) - again.gauge_many(V)).max() <= 1e-12
 
 
+def test_round_trip_every_body_type_through_json():
+    # body_to_dict -> JSON -> body_from_dict keeps the gauge of all six body
+    # types, the cube (p = Infinity) and cylinders over planes whose frames
+    # the reload rotates included
+    r = np.random.default_rng(5)
+    for _ in range(10):
+        plane, line = Subspace(r.normal(size=(3, 2))), Subspace(r.normal(size=(3, 1)))
+        A = r.normal(size=(3, 3)) + 3.0 * np.eye(3)
+        disk = Cylinder(Ellipsoid(random_spd(r, 2)), plane, line)
+        slab = Cylinder(PBall(3.0, A[:1, :1]), line, plane)
+        bodies = [
+            Ellipsoid(random_spd(r, 3)),
+            random_polytope(r, 3),
+            PBall(1.5, A),
+            PBall(np.inf, A),
+            disk,
+            LinearImage(A, Cylinder(random_polytope(r, 2), plane, line)),
+            Intersection([disk, slab]),
+        ]
+        for body in bodies:
+            again = body_from_dict(json.loads(json.dumps(body_to_dict(body))))
+            V = r.normal(size=(200, 3)) * 3.0
+            g = body.gauge_many(V)
+            assert np.abs(g - again.gauge_many(V)).max() <= 1e-12 * g.max(), body
+    # the plane map folds into the base's image: round trips do not nest images
+    for _ in range(3):
+        disk = body_from_dict(json.loads(json.dumps(body_to_dict(disk))))
+    assert isinstance(disk.base, LinearImage) and isinstance(disk.base.inner, Ellipsoid)
+
+
+def test_cylinder_base_reads_the_plane_columns(tmp_path):
+    # the base lives in the coordinates of the file's plane columns, here the
+    # x and y axes rotated by 0.7 rad
+    a = 0.7
+    cols = np.array([[np.cos(a), np.sin(a), 0.0], [-np.sin(a), np.cos(a), 0.0]])
+    path = tmp_path / "cylinder.json"
+    path.write_text(json.dumps({
+        "type": "cylinder",
+        "base": {"type": "ellipsoid", "Q": [[1.0, 0.0], [0.0, 9.0]]},
+        "plane": cols.tolist(),
+        "generatrix": [[0.0, 0.0, 1.0]],
+    }))
+    body = load_body(path)
+    g = body.gauge_many(np.vstack([cols, cols + [0.0, 0.0, 5.0]]))
+    assert np.abs(g - [1.0, 3.0, 1.0, 3.0]).max() <= 1e-14
+
+
 def test_classify_ellipsoid_fixture(tmp_path):
     code, rep = run(
         tmp_path, "classify", FIX / "ellipsoid.json", FIX / "region_xy.json",
@@ -119,19 +169,22 @@ def test_gap_path_with_a_form_that_is_not_psd_writes_a_finite_witness(tmp_path, 
 def test_phi_cross_check_reads_the_sweep(tmp_path):
     # the cross-check samples the sweep's own planes and certified lines, so
     # only the sweep searches and certifies; of these, only the box's cold
-    # sweep searches at all
-    for name, outcome, work in (
-        ("ellipsoid.json", "Injective", 0),
-        ("cylinder.json", "ConstantLine", 0),
-        ("sheared.json", "Injective", 0),
-        ("box.json", "ConstantLine", 9),
+    # sweep searches at all, one search per plane.  Its base plane's solve
+    # makes the one single-plane certificate: every later plane certifies
+    # the chain's direction in a stacked call, and the shared-generatrix
+    # test has no plane left to certify
+    for name, outcome, certs, searches in (
+        ("ellipsoid.json", "Injective", 0, 0),
+        ("cylinder.json", "ConstantLine", 0, 0),
+        ("sheared.json", "Injective", 0, 0),
+        ("box.json", "ConstantLine", 1, 9),
     ):
         code, rep = run(tmp_path, "classify", FIX / name, FIX / "region_xy.json", "--grid", "3")
         assert code == 0
         assert rep["diagnostics"]["phi_outcome"] == outcome, name
         assert rep["diagnostics"]["phi_agrees"] is True, name
-        assert rep["timings"]["certificates"] == work, name
-        assert rep["timings"]["direction_searches"] == work, name
+        assert rep["timings"]["certificates"] == certs, name
+        assert rep["timings"]["direction_searches"] == searches, name
     # the 4 x 4 grid does not contain the 3 x 3 one
     for name in ("ellipsoid.json", "box.json", "cylinder.json"):
         code, rep = run(tmp_path, "classify", FIX / name, FIX / "region_xy.json", "--grid", "4")
@@ -351,14 +404,25 @@ def test_error_exits(tmp_path, capsys):
         assert all(w in err for w in words), (argv, err)
 
     # halfwidths and p that are no numbers
-    for hw in ('"abc"', "null", '[[0.2, "x"]]'):
+    for hw in ('"abc"', "null", '[[0.2, "x"]]', "Infinity", "[[0.2, -Infinity]]"):
         region = tmp_path / "hw.json"
         region.write_text(f'{{"base": [[1, 0, 0], [0, 1, 0]], "halfwidths": {hw}}}')
         one_error_line(["classify", FIX / "ellipsoid.json", region], "halfwidths")
-    for p in ('"abc"', "null"):
+    for p in ('"abc"', "null", "-Infinity"):
         pball = tmp_path / "pball.json"
         pball.write_text(f'{{"type": "pball", "p": {p}, "A": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]}}')
         one_error_line(["classify", pball, FIX / "region_xy.json"], ".p")
+    # an infinite entry in a matrix, where p = Infinity alone is the cube
+    ell = tmp_path / "ell.json"
+    ell.write_text('{"type": "ellipsoid", "Q": [[1, 0, 0], [0, Infinity, 0], [0, 0, 1]]}')
+    one_error_line(["classify", ell, FIX / "region_xy.json"], "ell.json.Q")
+    poly = tmp_path / "poly.json"
+    poly.write_text('{"type": "polytope", "vertices": [[Infinity, 0, 0], [-1, 0, 0], '
+                    '[0, 1, 0], [0, -1, 0], [0, 0, 1], [0, 0, -1]]}')
+    one_error_line(["classify", poly, FIX / "region_xy.json"], "poly.json.vertices")
+    cube = tmp_path / "cube.json"
+    cube.write_text('{"type": "pball", "p": Infinity, "A": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]}')
+    assert load_body(cube).gauge([2.0, -1.0, 0.5]) == 2.0
 
     # a body whose space is not its plane's, region's or direction's: each
     # error names both dimensions

@@ -193,7 +193,7 @@ def test_warm_certificate_errors_propagate(monkeypatch):
     assert subspace_angle(res.found[0].direction, Z) == 0.0
     # any other failure of a warm certificate is raised, not turned into a
     # silent cold search
-    real = contracting_module.is_contracting
+    real = contracting_module.certify_planes
     calls = []
 
     def broken_first(*args, **kwargs):
@@ -202,7 +202,7 @@ def test_warm_certificate_errors_propagate(monkeypatch):
             raise FloatingPointError("broken certificate")
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(contracting_module, "is_contracting", broken_first)
+    monkeypatch.setattr(contracting_module, "certify_planes", broken_first)
     with pytest.raises(FloatingPointError):
         find_contracting_direction(body, XY, warm=(Z,), first_only=True)
 
