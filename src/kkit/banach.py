@@ -303,7 +303,7 @@ def _match_planar(body: Body, pairs):
     (_subscan) that reads the sub-shifts of both orientations from one radial
     evaluation on the offset grids.  Golden-section refinement of the shift
     then matches all pairs in one lockstep search, one radial evaluation of
-    the whole stack in both orientations per step.
+    the whole stack per orientation and step.
     """
     step = 2.0 * np.pi / SCAN_OFFSETS
     ang = np.linspace(0.0, 2.0 * np.pi, SCAN_OFFSETS, endpoint=False)
@@ -314,13 +314,13 @@ def _match_planar(body: Body, pairs):
     s2 = np.empty((len(pairs), SCAN_OFFSETS))
     flips = np.array([1.0, -1.0])
 
-    def residuals(phis):
-        """Residual of pair i at shift phis[j, i] in orientation flips[j]: one radial
-        evaluation of the circle mapped by A1 R(phi) diag(1, flip), both orientations."""
-        maps = A1 @ _rot(phis)
+    def residuals(phis, rows):
+        """Residual of pair rows[i] at shift phis[j, i] in orientation flips[j], one
+        radial evaluation per orientation of the circle mapped by A1 R(phi) diag(1, flip)."""
+        maps = A1[rows] @ _rot(phis)
         maps[..., 1] *= flips[:, None, None]
-        r = _radials(body, maps.reshape((-1,) + A1.shape[1:]), np.tile(c1, (2, 1)), circle)
-        return np.abs(r.reshape(2, len(pairs), -1) - s2).max(axis=2)
+        return np.stack([np.abs(_radials(body, m, c1[rows], circle) - s2[rows]).max(axis=1)
+                         for m in maps])
 
     # Refine the best coarse shift of each orientation and keep the smaller
     # residual: symmetric sections tie many coarse shifts exactly, and
@@ -348,14 +348,14 @@ def _match_planar(body: Body, pairs):
     a, b = phi0 - step / REFINE_SUB, phi0 + step / REFINE_SUB
     x1 = b - gr * (b - a)
     x2 = a + gr * (b - a)
-    f1, f2 = residuals(x1), residuals(x2)
+    f1, f2 = residuals(x1, rows), residuals(x2, rows)
     # golden section on every pair and orientation in lockstep: the brackets
     # start equal and shrink alike, and each one stops at its own width
     while (run := b - a > REFINE_TOL).any():
         left = f1 <= f2
         na, nb = np.where(left, a, x1), np.where(left, x2, b)
         xn = np.where(left, nb - gr * (nb - na), na + gr * (nb - na))
-        fn = residuals(xn)
+        fn = residuals(xn, rows)
         new = (na, nb, np.where(left, xn, x2), np.where(left, fn, f2),
                np.where(left, x1, xn), np.where(left, f1, fn))
         old = (a, b, x1, f1, x2, f2)

@@ -76,12 +76,14 @@ class Body:
         return fd_gradient(self.gauge_many, P)
 
     def boundary_point(self, direction):
-        """Boundary point on the ray through direction, i.e. direction/gauge."""
+        """Boundary point on the ray through direction, i.e. direction/gauge,
+        or one per row of a stack of directions, in the input's shape."""
         d = np.asarray(direction, dtype=float)
-        g = self.gauge(d)
-        if g <= GENERATRIX_TOL * max(1.0, np.linalg.norm(d)):
+        D = np.atleast_2d(d)
+        g = self.gauge_many(D)
+        if np.any(g <= GENERATRIX_TOL * np.maximum(1.0, np.linalg.norm(D, axis=1))):
             raise DirectionInGeneratrix("gauge vanishes along this direction")
-        return d / g
+        return (D / g[:, None]).reshape(d.shape)
 
 
 class Ellipsoid(Body):

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bodies import GENERATRIX_TOL, Body, SectionBody, section_samples
+from .bodies import Body, SectionBody, section_samples
 from .contracting import (
     DEFAULT_TOL,
     certify_planes,
@@ -24,7 +24,6 @@ from .errors import (
     AmbiguousDichotomy,
     DegenerateFit,
     DegenerateFixedPoint,
-    DirectionInGeneratrix,
     InconsistentPropagation,
     NoGeneratrix,
     NonComplementary,
@@ -200,11 +199,7 @@ def support_check(body: Body, dual: ProjectiveDual) -> float:
     """
     radii = np.array([0.0, 0.25, 0.5, 1.0, 2.0, 4.0])
     ang = np.linspace(0.0, np.pi, SUPPORT_ANGLES, endpoint=False)
-    V = sphere_directions(3, SUPPORT_POINTS)
-    g = body.gauge_many(V)
-    if np.any(g <= GENERATRIX_TOL * np.maximum(1.0, np.linalg.norm(V, axis=1))):
-        raise DirectionInGeneratrix("gauge vanishes along this direction")
-    P = V / g[:, None]
+    P = body.boundary_point(sphere_directions(3, SUPPORT_POINTS))
     ell = P @ dual.F.T
     nrm = np.linalg.norm(ell, axis=1)
     if np.any(nrm < 1e-14):

@@ -125,6 +125,14 @@ def test_boundary_point_and_generatrix():
     assert abs(cyl.gauge(p) - 1.0) <= 1e-12
     with pytest.raises(DirectionInGeneratrix):
         cyl.boundary_point([0.0, 0.0, 1.0])
+    # a stack of directions gives one boundary point per row, as single calls do,
+    # and one direction in the generatrix fails the whole stack
+    D = np.array([[3.0, 0.0, 5.0], [1.0, -2.0, 0.5], [0.0, 4.0, -1.0]])
+    P = cyl.boundary_point(D)
+    assert P.shape == D.shape
+    assert np.array_equal(P, np.array([cyl.boundary_point(d) for d in D]))
+    with pytest.raises(DirectionInGeneratrix):
+        cyl.boundary_point(np.vstack([D, [0.0, 0.0, 1.0]]))
 
 
 def test_support_functionals_are_supports():
