@@ -13,7 +13,6 @@ from .banach import (
     TangencyReport,
     banach_classify,
     linear_equivalent_sections,
-    max_inscribed_ellipsoid,
     quadratic_field,
     verify_R_tangency,
 )
@@ -108,7 +107,6 @@ __all__ = [
     "EquivalenceWitness",
     "TangencyReport",
     "quadratic_field",
-    "max_inscribed_ellipsoid",
     "linear_equivalent_sections",
     "verify_R_tangency",
     "banach_classify",

@@ -3,10 +3,11 @@
 A body whose sections over a region of k-planes are pairwise linearly
 equivalent satisfies the same local trichotomy as the contracting-direction
 classifier, so the pipeline here verifies the equivalence hypothesis on a
-plane grid and then delegates the verdict.  The module also evaluates the
-quadratic tangent field attached to a trace-free tensor R and verifies the
-tangency transfer (tangency at kernel points implies tangency everywhere)
-for a supplied R; constructing R from section data is out of scope.
+plane grid, each section normalized by its volume and second moment about
+the origin, then delegates the verdict.  It also evaluates the quadratic
+tangent field of a trace-free tensor R and verifies the tangency transfer
+(tangency at kernel points implies it everywhere) for a given R; building
+R from section data is out of scope.
 """
 
 import functools
@@ -16,11 +17,10 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .bodies import Body, SectionBody, section_samples
+from .bodies import GENERATRIX_TOL, Body, SectionBody
 from .classifier import ClassifyOptions, classify
-from .errors import HypothesisFailed
+from .errors import HypothesisFailed, UnboundedSection
 from .linalg import GrassmannChart, Subspace, sphere_directions
-from .tally import counting, tally
 
 # Equivalence witnesses must stay honestly invertible.
 DET_MIN = 1e-8
@@ -35,8 +35,13 @@ EQUIV_TOL = 1e-6
 TANGENCY_TOL = 1e-7
 # Direction sample of the 3D signature matcher.
 SPATIAL_DESIGN = 1024
-# Barrier weights of the inscribed-ellipsoid path following, one per stage.
-MU_STAGES = 10.0 ** -np.arange(2.0, 15.0)
+# Volume of the unit k-ball, by k: the unit ball normalizes to M = I.
+BALL_VOLUME = {2: np.pi, 3: 4.0 * np.pi / 3.0}
+# Quadrature of section moments: kink search and adaptive Gauss-Legendre on
+# 2-sections (_kinks, _planar_moments), a product rule on 3-sections.
+PANELS, KINK_TURN, KINK_WIDTH = 32, 1e-2, 1e-9
+GAUSS_NODES, MOMENT_TOL, MOMENT_ROUNDS, MOMENT_ROWS = 8, 1e-14, 40, 1 << 12
+SPHERE_Z, SPHERE_AZIMUTH = 32, 64
 
 
 @dataclass
@@ -93,170 +98,131 @@ def quadratic_field(R: RTensor, p) -> np.ndarray:
     return x * y * (E[0, 0] - E[1, 1]) - x * x * E[1, 0] + y * y * E[0, 1]
 
 
-# ------------------------------------------------------- inscribed ellipsoid
+# ---------------------------------------------------------- section moments
 
 
-def _slacks(ell, M, c):
-    """Functionals as columns, a_i = 1 - ell_i . c, columns v_i = M ell_i and
-    s_i = a_i^2 - |v_i|^2.  With the m constraints on the last axis the
-    elementwise work runs along long rows even when k is 2 or 3."""
-    cols = np.ascontiguousarray(np.swapaxes(ell, -1, -2))
-    a = 1.0 - (c[..., None, :] @ cols)[..., 0, :]
-    V = M @ cols
-    return cols, a, V, a * a - np.sum(V * V, axis=-2)
+def _radii(body: Body, X):
+    """Radial extents 1 / gauge of the rows X; UnboundedSection if it vanishes."""
+    g = body.gauge_many(X)
+    if np.any(g <= GENERATRIX_TOL):
+        raise UnboundedSection(f"gauge vanishes along {X[int(np.argmin(g))]}")
+    return 1.0 / g
 
 
-def _unpack(E, x):
-    """(M, c) of the coordinates x = (coordinates of M in the basis E, c)."""
-    p, k = E.shape[:2]
-    M = (x[..., :p] @ E.reshape(p, k * k)).reshape(x.shape[:-1] + (k, k))
-    return M, x[..., p:]
+def _kinks(body: Body, frames, pl, lo):
+    """(planes, angles) of the jumps of the planar sections' support normals,
+    from the PANELS uniform panels [lo, lo + 2 pi / PANELS) of planes pl.
 
-
-def _barrier_value(ell, E, x, mu):
-    """-log det M - mu sum_i log s_i at x = (coordinates of M in the basis E, c),
-    with a_i = 1 - ell_i . c, v_i = M ell_i and s_i = a_i^2 - |v_i|^2; inf
-    unless M is positive definite and every a_i and s_i is positive.
-
-    Leading axes of ell (..., m, k), x (..., p + k) and mu (...) stack
-    problems, one value each.
+    The panels are brackets that carry the in-plane normals at their ends.
+    Those whose normals turn by more than KINK_TURN are halved in lockstep,
+    sharing the midpoint's normal, until KINK_WIDTH wide.  The normal turns
+    monotonically, so two jumps in one panel end in different halves, and a
+    smooth arc leaves once its brackets are short.
     """
-    M, c = _unpack(E, x)
-    _, a, _, s = _slacks(ell, M, c)
-    w = np.linalg.eigvalsh(M)
-    ok = (w.min(axis=-1) > 0.0) & (a.min(axis=-1) > 0.0) & (s.min(axis=-1) > 0.0)
-    logs = np.log(np.where(ok[..., None], w, 1.0)).sum(axis=-1)
-    logs = logs + mu * np.log(np.where(ok[..., None], s, 1.0)).sum(axis=-1)
-    return np.where(ok, -logs, np.inf)
+
+    def normals(pl, theta):
+        X = np.einsum("tnk,tk->tn", frames[pl], np.column_stack([np.cos(theta), np.sin(theta)]))
+        return np.einsum("tn,tnk->tk", body.support_many(X * _radii(body, X)[:, None]), frames[pl])
+
+    nl = normals(pl, lo)
+    nh, width = np.roll(nl.reshape(-1, PANELS, 2), -1, axis=1).reshape(-1, 2), 2.0 * np.pi / PANELS
+    while True:
+        cross = np.abs(nl[:, 0] * nh[:, 1] - nl[:, 1] * nh[:, 0])
+        live = np.arctan2(cross, np.sum(nl * nh, axis=1)) > KINK_TURN
+        if width <= KINK_WIDTH or not live.any():
+            return pl[live], lo[live] + 0.5 * width
+        pl, lo, nl, nh, width = pl[live], lo[live], nl[live], nh[live], 0.5 * width
+        nm = normals(pl, lo + width)
+        pl, lo = np.tile(pl, 2), np.concatenate([lo, lo + width])
+        nl, nh = np.concatenate([nl, nm]), np.concatenate([nm, nh])
 
 
-def _barrier_grad_hess(ell, E, x, mu):
-    """Closed-form gradient and Hessian of _barrier_value at an interior x,
-    stacked like _barrier_value.
+def _planar_moments(body: Body, frames):
+    """(area, J) of the sections by the 2-planes frames (P, n, 2), in frame
+    coordinates: area = 1/2 int r^2 dtheta and J = 1/4 int r^4 u u^T dtheta,
+    by GAUSS_NODES-point Gauss-Legendre panels.
 
-    With G_i = grad s_i = (-2 ell_i^T E_a v_i, -2 a_i ell_i) and S = sum_i
-    (2 mu / s_i) ell_i ell_i^T: g = -mu sum G_i / s_i, minus tr(M^-1 E_a) on
-    the M block, and H = mu sum G_i G_i^T / s_i^2, plus tr(M^-1 E_a M^-1 E_b)
-    + tr(E_a E_b S) on the M block, minus S on the c block.
+    The circle is cut at PANELS uniform angles and at every kink (_kinks),
+    and each piece by adaptive Gauss-Legendre: a panel stands once it and its
+    halves agree to MOMENT_TOL of the piece in every entry (J's against the
+    trace), else its halves replace it, for at most MOMENT_ROUNDS rounds of
+    one gauge call over all P planes, of at most P MOMENT_ROWS rows.
     """
-    p, k = E.shape[:2]
-    Ef = E.reshape(p, k * k)
-    M, c = _unpack(E, x)
-    mu = np.asarray(mu)[..., None]
-    cols, a, V, s = _slacks(ell, M, c)
-    # ell_i^T E_a v_i pairs vec(E_a) with the outer product ell_i v_i^T
-    outer = (cols[..., :, None, :] * V[..., None, :, :]).reshape(V.shape[:-2] + (k * k, -1))
-    Gt = -2.0 * np.concatenate([Ef @ outer, a[..., None, :] * cols], axis=-2)  # columns G_i
-    g = -mu * (Gt @ (1.0 / s)[..., None])[..., 0]
-    H = (Gt * (mu / s**2)[..., None, :]) @ Gt.swapaxes(-1, -2)
-    S = (cols * (2.0 * mu / s)[..., None, :]) @ cols.swapaxes(-1, -2)
-    T = np.linalg.inv(M)[..., None, :, :] @ E  # M^-1 E_a
-    g[..., :p] -= np.trace(T, axis1=-2, axis2=-1)
-    # tr(A B) pairs vec(A) with vec(B^T)
-    flat = T.shape[:-2] + (k * k,)
-    H[..., :p, :p] += T.reshape(flat) @ T.swapaxes(-1, -2).reshape(flat).swapaxes(-1, -2)
-    H[..., :p, :p] += Ef @ (S[..., None, :, :] @ E).reshape(flat).swapaxes(-1, -2)
-    H[..., p:, p:] -= S
-    return g, H
+    x, w = np.polynomial.legendre.leggauss(GAUSS_NODES)
+
+    def gauss(pl, a, b):
+        """Rows (area, J11, J12, J22) of the Gauss-Legendre rule on [a, b]."""
+        half = 0.5 * (b - a)
+        theta = ((0.5 * (a + b))[:, None] + half[:, None] * x).ravel()
+        U = np.column_stack([np.cos(theta), np.sin(theta)])
+        r2 = _radii(body, np.einsum("tnk,tk->tn", frames[np.repeat(pl, GAUSS_NODES)], U)) ** 2
+        F = np.column_stack([2.0 * r2, r2[:, None] ** 2 * U[:, [0, 0, 1]] * U[:, [0, 1, 1]]])
+        return np.einsum("tnc,n->tc", F.reshape(len(a), GAUSS_NODES, 4), w) * half[:, None] / 4.0
+
+    P = len(frames)
+    pl, a = np.repeat(np.arange(P), PANELS), np.tile(2.0 * np.pi / PANELS * np.arange(PANELS), P)
+    kink_pl, kink_at = _kinks(body, frames, pl, a)
+    pl, a = np.concatenate([pl, kink_pl]), np.concatenate([a, kink_at])
+    order = np.lexsort((a, pl))
+    pl, a = pl[order], a[order]
+    # each cut starts a panel that ends at its plane's next cut
+    b = np.where(np.append(pl[1:] == pl[:-1], False), np.append(a[1:], 0.0), 2.0 * np.pi)
+    Q = gauss(pl, a, b)
+    tol = MOMENT_TOL * np.column_stack([Q[:, 0]] + 3 * [Q[:, 1] + Q[:, 3]])
+    total, rounds = np.zeros((P, 4)), 0
+    while len(a) and rounds < MOMENT_ROUNDS and 2 * GAUSS_NODES * len(a) <= MOMENT_ROWS * P:
+        m, rounds = 0.5 * (a + b), rounds + 1
+        H = gauss(np.tile(pl, 2), np.concatenate([a, m]), np.concatenate([m, b]))
+        ok = np.all(np.abs(H[: len(a)] + H[len(a):] - Q) <= tol, axis=1)
+        np.add.at(total, pl[ok], H[: len(a)][ok] + H[len(a):][ok])
+        keep = np.tile(~ok, 2)
+        pl, tol, Q = np.tile(pl, 2)[keep], np.tile(tol, (2, 1))[keep], H[keep]
+        a, b = np.concatenate([a, m])[keep], np.concatenate([m, b])[keep]
+    np.add.at(total, pl, Q)
+    return total[:, 0], total[:, [1, 2, 2, 3]].reshape(P, 2, 2)
 
 
-def max_inscribed_ellipsoid(functionals):
-    """(M, c) of the maximal-volume ellipsoid {M u + c : |u| <= 1} inside
-    {x : ell_i . x <= 1}, with M symmetric positive definite.
-
-    functionals is one problem, (m, k), or a stack of them, (B, m, k), which
-    gives M of shape (B, k, k) and c of shape (B, k); every section counts
-    once in inscribed_solves.  The constraints read |M ell_i| <= 1 - ell_i .
-    c, second-order cones that are affine in (M, c), so -log det M - mu
-    sum_i log((1 - ell_i . c)^2 - |M ell_i|^2) is self-concordant (Boyd &
-    Vandenberghe, Convex Optimization, sections 8.4.2 and 11.6).  Damped
-    Newton follows its minimizer in x = (upper-triangle coordinates of M, c)
-    over MU_STAGES, one closed-form gradient and Hessian (_barrier_grad_hess)
-    and an Armijo line search per step.  The accepted trial point is
-    bit-equal to the next iterate, so its value is carried over, and f is
-    evaluated afresh only where a stage begins.  An intermediate stage only
-    warm-starts the next, so it ends once the squared Newton decrement of
-    f / mu is at most 0.1; every stage ends when the step vanishes.  The
-    problems of a stack run in lockstep, each at its own stage, and a
-    problem leaves the batch when its last stage ends.
+def _spatial_moments(body: Body, frames):
+    """(volume, J) of the sections by the 3-planes frames (P, n, 3), in frame
+    coordinates: volume = 1/3 int r^3 du and J = 1/5 int r^5 u u^T du over
+    the sphere, by Gauss-Legendre in z times the trapezoid rule in azimuth.
+    It converges slowly on long sections, so each section is integrated again
+    in the position W the first pass normalizes it to, round if it is an
+    ellipsoid, and mapped back by J(W K) = |det W| W J(K) W^T.
     """
-    ell = np.asarray(functionals, dtype=float)
-    stack = ell.reshape((-1,) + ell.shape[-2:])
-    tally("inscribed_solves", len(stack))
-    k = ell.shape[-1]
-    i, j = np.triu_indices(k)
-    p = len(i)
-    E = np.zeros((p, k, k))
-    E[np.arange(p), i, j] = E[np.arange(p), j, i] = 1.0
-    x = np.zeros((len(stack), p + k))
-    x[:, :p] = (i == j) * (0.45 / np.linalg.norm(stack, axis=2).max(axis=1))[:, None]
-    stage = np.zeros(len(stack), dtype=int)
-    fx = np.full(len(stack), np.nan)  # barrier value at x, nan when unknown at its stage
-    live = np.arange(len(stack))
-    while live.size:
-        L, X, mu = stack[live], x[live], MU_STAGES[stage[live]]
-        g, H = _barrier_grad_hess(L, E, X, mu)
-        step = np.linalg.solve(H, -g[:, :, None])[:, :, 0]
-        slope = np.sum(g * step, axis=1)
-        # an intermediate stage ends at a small Newton decrement, before stepping
-        ends = (mu > MU_STAGES[-1]) & (-slope <= 0.1 * mu)
-        # Armijo search on the rows that step, each evaluated until it passes
-        rows = np.flatnonzero(~ends)
-        f = fx[live[rows]]
-        new = np.flatnonzero(np.isnan(f))
-        f[new] = _barrier_value(L[rows[new]], E, X[rows[new]], mu[rows[new]])
-        alpha = np.ones(len(rows))
-        search = np.arange(len(rows))
-        while search.size:
-            t = rows[search]
-            trial = _barrier_value(L[t], E, X[t] + alpha[search, None] * step[t], mu[t])
-            fail = trial > f[search] + 0.25 * alpha[search] * slope[t]
-            f[search[~fail]] = trial[~fail]
-            search = search[fail]
-            alpha[search] *= 0.5
-        dx = alpha[:, None] * step[rows]
-        X[rows] += dx
-        x[live], fx[live[rows]] = X, f
-        ends[rows] = np.linalg.norm(dx, axis=1) <= 1e-15 * (1.0 + np.linalg.norm(X[rows], axis=1))
-        stage[live[ends]] += 1
-        fx[live[ends]] = np.nan
-        live = live[stage[live] < len(MU_STAGES)]
-    M, c = _unpack(E, x)
-    return M.reshape(ell.shape[:-2] + (k, k)), c.reshape(ell.shape[:-2] + (k,))
+    z, wz = np.polynomial.legendre.leggauss(SPHERE_Z)
+    phi = 2.0 * np.pi / SPHERE_AZIMUTH * np.arange(SPHERE_AZIMUTH)
+    s = np.sqrt(1.0 - z * z)[:, None]
+    U = np.dstack(np.broadcast_arrays(s * np.cos(phi), s * np.sin(phi), z[:, None])).reshape(-1, 3)
+    w = np.repeat(wz, SPHERE_AZIMUTH) * (2.0 * np.pi / SPHERE_AZIMUTH)
+    W = np.broadcast_to(np.eye(3), (len(frames), 3, 3))
+    for _ in range(2):
+        r = _radials(body, frames @ W, U)
+        det = np.abs(np.linalg.det(W))
+        vol = det * (w * r**3).sum(axis=1) / 3.0
+        J = np.einsum("pm,mi,mj->pij", w * r**5, U, U) / 5.0
+        J = det[:, None, None] * W @ J @ W.swapaxes(1, 2)
+        W = _moment_map(vol, J)
+    return vol, J
+
+
+def _moment_map(vol, J):
+    """M = J^(1/2) (vol / (BALL_VOLUME[k] sqrt det J))^(1/k) for stacked vol
+    (P,) and J (P, k, k): M^-1 K has the unit ball's volume, the ball M = I."""
+    w, V = np.linalg.eigh(J)
+    scale = (vol / (BALL_VOLUME[len(w[0])] * np.sqrt(w.prod(axis=1)))) ** (1.0 / len(w[0]))
+    return (V * np.sqrt(w)[:, None, :]) @ V.swapaxes(1, 2) * scale[:, None, None]
 
 
 # --------------------------------------------------------- radial signatures
 
 
-def _radials(body: Body, maps, centres, dirs):
+def _radials(body: Body, maps, dirs):
     """Radial extents of normalized sections along unit directions: entry
-    [p, t] is the s > 0 with gauge(centres[p] + s maps[p] dirs[t]) = 1, for
-    maps (P, n, k) from normalized to ambient coordinates and centres (P, n)."""
-    m, n = len(dirs), maps.shape[1]
+    [p, t] is the s > 0 with gauge(s maps[p] dirs[t]) = 1, for maps (P, n, k)
+    from normalized to ambient coordinates."""
     W = dirs @ maps.swapaxes(-1, -2)
-    r = 1.0 / body.gauge_many(W.reshape(-1, n)).reshape(-1, m)
-    off = np.linalg.norm(centres, axis=1) > 1e-12
-    if not off.any():
-        return r
-    # general center: solve gauge(c + t w) = 1 by vectorized bisection
-    W, C = W[off].reshape(-1, n), np.repeat(centres[off], m, axis=0)
-    t_hi = np.ones(len(W))
-    for _ in range(60):
-        mask = body.gauge_many(C + t_hi[:, None] * W) < 1.0
-        if not mask.any():
-            break
-        t_hi[mask] *= 2.0
-    t_lo = np.zeros(len(W))
-    for _ in range(80):
-        mid = 0.5 * (t_lo + t_hi)
-        inside = body.gauge_many(C + mid[:, None] * W) <= 1.0
-        # a step that moves no bracket end repeats itself from then on
-        if np.array_equal(mid, np.where(inside, t_lo, t_hi)):
-            break
-        t_lo = np.where(inside, mid, t_lo)
-        t_hi = np.where(inside, t_hi, mid)
-    r[off] = (0.5 * (t_lo + t_hi)).reshape(-1, m)
-    return r
+    return _radii(body, W.reshape(-1, maps.shape[1])).reshape(-1, len(dirs))
 
 
 def _rot(a):
@@ -296,8 +262,8 @@ def _subscan(R, s, base):
 
 def _match_planar(body: Body, pairs):
     """Best rotation/reflection aligning the normalized planar signatures of
-    every pair (A1, c1, M1, A2, c2, M2) of a stack, each (A, c, M) as cached
-    by _normalize: [(map in frame coordinates, residual)] per pair.
+    every pair (A1, M1, A2, M2) of a stack, each (A, M) as cached by
+    _normalize: [(map in frame coordinates, residual)] per pair.
 
     Each pair gets a coarse scan over grid shifts (_scan) and a sub-grid scan
     (_subscan) that reads the sub-shifts of both orientations from one radial
@@ -310,7 +276,7 @@ def _match_planar(body: Body, pairs):
     circle = np.column_stack([np.cos(ang), np.sin(ang)])
     fine = step * (np.arange(1, REFINE_SUB)[:, None] / REFINE_SUB + np.arange(SCAN_OFFSETS))
     offsets = np.column_stack([np.cos(fine.ravel()), np.sin(fine.ravel())])
-    A1, c1, M1, A2, c2, M2 = map(np.stack, zip(*pairs))
+    A1, M1, A2, M2 = map(np.stack, zip(*pairs))
     s2 = np.empty((len(pairs), SCAN_OFFSETS))
     flips = np.array([1.0, -1.0])
 
@@ -319,8 +285,7 @@ def _match_planar(body: Body, pairs):
         radial evaluation per orientation of the circle mapped by A1 R(phi) diag(1, flip)."""
         maps = A1[rows] @ _rot(phis)
         maps[..., 1] *= flips[:, None, None]
-        return np.stack([np.abs(_radials(body, m, c1[rows], circle) - s2[rows]).max(axis=1)
-                         for m in maps])
+        return np.stack([np.abs(_radials(body, m, circle) - s2[rows]).max(axis=1) for m in maps])
 
     # Refine the best coarse shift of each orientation and keep the smaller
     # residual: symmetric sections tie many coarse shifts exactly, and
@@ -336,11 +301,11 @@ def _match_planar(body: Body, pairs):
     sub = step * np.linspace(-1.0, 1.0, 2 * REFINE_SUB + 1)
     phi0 = np.empty((2, len(pairs)))
     for i in range(len(pairs)):
-        r1, s2[i] = _radials(body, np.stack([A1[i], A2[i]]), np.stack([c1[i], c2[i]]), circle)
+        r1, s2[i] = _radials(body, np.stack([A1[i], A2[i]]), circle)
         # r1(theta_j + l d) = r1[(j + l) % SCAN_OFFSETS] on the shared grid, and the
         # reflection r1(-theta_j + l d) = r1[::-1][(j - l - 1) % SCAN_OFFSETS]
         base = np.argmin([_scan(r1, s2[i]), _scan(r1[::-1], s2[i])[::-1]], axis=1)
-        R = np.vstack([r1, _radials(body, A1[i][None], c1[i][None], offsets).reshape(fine.shape)])
+        R = np.vstack([r1, _radials(body, A1[i][None], offsets).reshape(fine.shape)])
         phis = ang[base][:, None] + sub
         phi0[:, i] = phis[[0, 1], np.argmin(_subscan(R, s2[i], base), axis=1)]
     gr = (np.sqrt(5.0) - 1.0) / 2.0
@@ -374,19 +339,14 @@ def _match_planar(body: Body, pairs):
 @functools.cache
 def _signed_permutations():
     """The 48 signed permutation matrices of R^3, built once per process."""
-    out = []
-    for perm in itertools.permutations(range(3)):
-        for signs in itertools.product((1.0, -1.0), repeat=3):
-            P = np.zeros((3, 3))
-            P[np.arange(3), perm] = signs
-            out.append(P)
-    return tuple(out)
+    perms, signs = itertools.permutations(range(3)), list(itertools.product((1.0, -1.0), repeat=3))
+    return tuple(np.diag(s) @ np.eye(3)[list(p)] for p in perms for s in signs)
 
 
-def _match_spatial(body: Body, A1, c1, M1, A2, c2, M2):
+def _match_spatial(body: Body, A1, M1, A2, M2):
     """Heuristic 3D signature alignment over moment principal frames."""
     dirs = sphere_directions(3, SPATIAL_DESIGN)
-    r1, r2 = _radials(body, np.stack([A1, A2]), np.stack([c1, c2]), dirs)
+    r1, r2 = _radials(body, np.stack([A1, A2]), dirs)
     P1 = dirs * r1[:, None]
     P2 = dirs * r2[:, None]
     _, V1 = np.linalg.eigh(P1.T @ P1)
@@ -394,39 +354,29 @@ def _match_spatial(body: Body, A1, c1, M1, A2, c2, M2):
     best = (float(np.abs(r1 - r2).max()), np.eye(3))
     for P in _signed_permutations():
         O = V1 @ P @ V2.T
-        res = float(np.abs(_radials(body, (A1 @ O)[None], c1[None], dirs)[0] - r2).max())
+        res = float(np.abs(_radials(body, (A1 @ O)[None], dirs)[0] - r2).max())
         if res < best[0]:
             best = (res, O)
     res, O = best
-    Lmap = M2 @ O.T @ np.linalg.inv(M1)
-    return Lmap, res
+    return M2 @ O.T @ np.linalg.inv(M1), res
 
 
 def _normalize(body: Body, planes, cache: dict):
-    """Fill cache[frame bytes] = (frame @ M, frame @ c, M), with {M u + c}
-    the section's inscribed ellipsoid, for every plane missing from it.
+    """Fill cache[frame bytes] = (frame @ M, M) for every plane missing from
+    it, M from the section's volume and second moment J about the origin
+    (_moment_map), in one stacked quadrature over the missing planes.
 
-    Each missing plane is sampled once, in order of first appearance, and
-    the distinct functional stacks among them are normalized by one stacked
-    max_inscribed_ellipsoid call: keying the solves on the functional bytes
-    lets planes with bit-equal sections, such as mirror-image planes of a
-    symmetric body, share one solve.
+    Both are equivariant under the linear maps that sections are compared by,
+    J(L K) = |det L| L J(K) L^T, so the normalized sections M^-1 K of two
+    linearly equivalent sections differ by a rotation or reflection.
     """
-    todo = {}
-    for X in planes:
-        key = X.frame.tobytes()
-        if key not in cache:
-            todo.setdefault(key, X)
+    todo = {key: X.frame for X in planes if (key := X.frame.tobytes()) not in cache}
     if not todo:
         return
-    # functional bytes -> (row of the stacked solve, functionals)
-    ells, rows = {}, []
-    for X in todo.values():
-        ell = section_samples(body, X, 256).functionals
-        rows.append(ells.setdefault(ell.tobytes(), (len(ells), ell))[0])
-    M, c = max_inscribed_ellipsoid(np.stack([ell for _, ell in ells.values()]))
-    for (key, X), r in zip(todo.items(), rows):
-        cache[key] = (X.frame @ M[r], X.frame @ c[r], M[r])
+    frames = np.stack(list(todo.values()))
+    moments = _planar_moments if frames.shape[2] == 2 else _spatial_moments
+    M = _moment_map(*moments(body, frames))
+    cache.update((key, (F @ Mi, Mi)) for key, F, Mi in zip(todo, frames, M))
 
 
 def _match_sections(body: Body, pairs, cache=None):
@@ -453,9 +403,9 @@ def linear_equivalent_sections(body: Body, X1: Subspace, X2: Subspace):
     """EquivalenceWitness(L, residual) with L(B cap X1) = B cap X2 in frame
     coordinates, or None when the best mismatch exceeds EQUIV_TOL.
 
-    Sections are normalized to maximal-inscribed-ellipsoid position (affine
-    covariant), leaving a compact rotation/reflection search on boundary
-    radial signatures.
+    Sections are normalized by their area (or volume) and second moment about
+    the origin (_normalize), which are linearly covariant and leave a compact
+    rotation/reflection search on boundary radial signatures.
     """
     Lmap, res, _ = _section_match(body, X1, X2)
     if res > EQUIV_TOL or abs(np.linalg.det(Lmap)) < DET_MIN:
@@ -486,11 +436,9 @@ def verify_R_tangency(body: Body, X: Subspace, R: RTensor, m: int = 64):
     k = X.dim
     if R.k != k:
         raise ValueError("tensor dimension does not match the plane")
-    nu = None
-    if R.nu is not None:
-        if X.ambient != k + 1:
-            raise ValueError("nu requires ambient dimension k + 1")
-        nu = R.nu
+    nu = R.nu
+    if nu is not None and X.ambient != k + 1:
+        raise ValueError("nu requires ambient dimension k + 1")
     sec = SectionBody(body, X)
 
     def supports(pts):
@@ -558,12 +506,12 @@ def banach_classify(
 
     Pairs checked: the chart base against every plane of a 3-per-axis grid,
     plus 32 random pairs from the region.  All distinct planes of the pairs
-    are sampled and normalized (_normalize) in one stacked
-    max_inscribed_ellipsoid call, and all planar pairs are then matched in
-    one lockstep search (_match_planar).  Any pair beyond tol raises
-    HypothesisFailed carrying the worst pair; on success the report gains
-    the equivalence diagnostics (including whether the 3D heuristic matcher
-    was involved), and its counters cover the pair checks as well.
+    are normalized by their moments in one stacked quadrature (_normalize),
+    and all planar pairs are then matched in one lockstep search
+    (_match_planar).  Any pair beyond tol raises HypothesisFailed carrying
+    the worst pair; on success classify's report gains the equivalence
+    diagnostics, including whether the 3D heuristic matcher was involved.
+    The pair checks count no work in the report's timings.
     """
     if region.base.dim not in (2, 3):
         raise ValueError("banach_classify runs over regions of 2- or 3-planes")
@@ -573,21 +521,17 @@ def banach_classify(
     drawn = region.planes(region.sample(rng, 64))
     pairs += zip(drawn[::2], drawn[1::2])
 
-    worst_res = 0.0
-    worst_fail = None
-    heuristic = False
-    with counting() as counts:
-        for (Xa, Xb), (_, res, heur) in zip(pairs, _match_sections(body, pairs)):
-            heuristic = heuristic or heur
-            worst_res = max(worst_res, res)
-            # a pair replaces the worst only by a clear margin, so rounding-level
-            # ties between symmetric pairs keep the first one found
-            if res > tol and (worst_fail is None or res > worst_fail[1] * (1.0 + 1e-9)):
-                worst_fail = ((Xa, Xb), res)
-        if worst_fail is not None:
-            raise HypothesisFailed(worst_fail[0], worst_fail[1])
-        report = classify(body, region, opts=opts)
-    report.counters = counts
+    worst_res, worst_fail, heuristic = 0.0, None, False
+    for (Xa, Xb), (_, res, heur) in zip(pairs, _match_sections(body, pairs)):
+        heuristic = heuristic or heur
+        worst_res = max(worst_res, res)
+        # a pair replaces the worst only by a clear margin, so rounding-level
+        # ties between symmetric pairs keep the first one found
+        if res > tol and (worst_fail is None or res > worst_fail[1] * (1.0 + 1e-9)):
+            worst_fail = ((Xa, Xb), res)
+    if worst_fail is not None:
+        raise HypothesisFailed(worst_fail[0], worst_fail[1])
+    report = classify(body, region, opts=opts)
     report.diagnostics["banach_pairs"] = len(pairs)
     report.diagnostics["banach_worst_residual"] = worst_res
     report.diagnostics["equivalence_heuristic"] = heuristic

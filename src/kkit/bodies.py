@@ -152,8 +152,16 @@ class Polytope(Body):
         scale = np.abs(V).max()
         if np.any(offsets >= -1e-12 * scale):
             raise MalformedBody("origin not strictly inside")
-        self.facets = -normals / offsets[:, None]
-        self.facet_vertex_sets = [tuple(sorted(map(int, s))) for s in hull.simplices]
+        rows = -normals / offsets[:, None]
+        # qhull triangulates a facet into simplices whose rows agree: keep the
+        # first row of each facet, with the vertex set of all its simplices
+        near = np.abs(rows[:, None] - rows[None]).max(axis=2) <= 1e-9 * np.abs(rows).max()
+        first = np.argmax(near, axis=1)
+        keep = np.flatnonzero(first == np.arange(len(rows)))
+        self.facets = rows[keep]
+        self.facet_vertex_sets = [
+            tuple(np.unique(hull.simplices[first == i]).tolist()) for i in keep
+        ]
 
     def gauge_many(self, V):
         V = np.asarray(V, dtype=float)

@@ -10,8 +10,8 @@ from contextvars import ContextVar
 
 # The report's timings keys; docs/schemas.md names the calls each one counts.
 COUNTERS = (
-    "certificates", "direction_searches", "inscribed_solves",
-    "planes_swept", "quadric_fits", "sections_sampled",
+    "certificates", "direction_searches", "planes_swept", "quadric_fits",
+    "sections_sampled",
 )
 _scope = ContextVar("kkit_counts", default=None)
 

@@ -1,7 +1,10 @@
+import itertools
+
 import numpy as np
 import pytest
 from scipy.spatial import ConvexHull
 
+from kkit.banach import linear_equivalent_sections
 from kkit.bodies import (
     Body,
     Cylinder,
@@ -192,6 +195,22 @@ def test_polytope_support_tie_break_is_lexicographic():
     assert np.allclose(ell, [1.0, 0.0], atol=1e-12)
 
 
+def test_polytope_keeps_one_row_per_facet():
+    # qhull triangulates each cube facet; the merged rows give the
+    # triangulated gauge bit for bit, and each facet names all its vertices
+    r = rng(21)
+    for n, facets in [(3, 6), (4, 8), (5, 10)]:
+        V = np.array(list(itertools.product([-1.0, 1.0], repeat=n)))
+        cube = Polytope(V)
+        assert cube.facets.shape == (facets, n)
+        assert all(len(s) == 2 ** (n - 1) for s in cube.facet_vertex_sets)
+        eq = ConvexHull(V).equations
+        rows = -eq[:, :-1] / eq[:, -1:]
+        P = r.normal(size=(20000, n))
+        want = np.maximum(0.0, (rows @ P.T).max(axis=0))
+        assert cube.gauge_many(P).tobytes() == want.tobytes()
+
+
 def test_fd_gradient_matches_analytic_supports():
     r = rng(14)
     Q = random_spd(r, 3, cond=6.0)
@@ -238,6 +257,9 @@ def test_section_of_cylinder_through_generatrix_is_unbounded():
     )
     with pytest.raises(UnboundedSection):
         section_samples(cyl, Subspace.coordinate(3, 0, 2), m=32)
+    # banach's moment quadrature samples no section and raises it too
+    with pytest.raises(UnboundedSection):
+        linear_equivalent_sections(cyl, Subspace.coordinate(3, 0, 1), Subspace.coordinate(3, 0, 2))
 
 
 def test_section_body_restricts_the_gauge():

@@ -559,7 +559,6 @@ def test_classify_report_deterministic():
     b = classify(body, region).to_dict()
     assert a == b
     assert set(a["timings"]) == {
-        "inscribed_solves",
         "planes_swept",
         "direction_searches",
         "certificates",
