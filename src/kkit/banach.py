@@ -25,7 +25,8 @@ from .linalg import GrassmannChart, Subspace, sphere_directions
 # Equivalence witnesses must stay honestly invertible.
 DET_MIN = 1e-8
 # Signature resolution: 0.5 degree scan, a 1/16-step sub-scan around the
-# best shift, then golden-refined to machine level.
+# best shift, then golden-refined to machine level.  REFINE_TOL (radians) also
+# bounds ptp(r1), a length, of the round first signatures matched at shift 0.
 SCAN_OFFSETS = 720
 REFINE_SUB = 16
 REFINE_TOL = 1e-12
@@ -265,11 +266,11 @@ def _match_planar(body: Body, pairs):
     every pair (A1, M1, A2, M2) of a stack, each (A, M) as cached by
     _normalize: [(map in frame coordinates, residual)] per pair.
 
-    Each pair gets a coarse scan over grid shifts (_scan) and a sub-grid scan
-    (_subscan) that reads the sub-shifts of both orientations from one radial
-    evaluation on the offset grids.  Golden-section refinement of the shift
-    then matches all pairs in one lockstep search, one radial evaluation of
-    the whole stack per orientation and step.
+    A pair whose first signature r1 is round, ptp(r1) <= REFINE_TOL, is
+    matched at shift 0 in orientation +1: two shifts' residuals differ by at
+    most ptp(r1).  The rest get a coarse scan (_scan), a sub-grid scan
+    (_subscan) and a lockstep golden-section search of the shift, one radial
+    evaluation of their stack per orientation and step.
     """
     step = 2.0 * np.pi / SCAN_OFFSETS
     ang = np.linspace(0.0, 2.0 * np.pi, SCAN_OFFSETS, endpoint=False)
@@ -279,55 +280,57 @@ def _match_planar(body: Body, pairs):
     A1, M1, A2, M2 = map(np.stack, zip(*pairs))
     s2 = np.empty((len(pairs), SCAN_OFFSETS))
     flips = np.array([1.0, -1.0])
-
-    def residuals(phis, rows):
-        """Residual of pair rows[i] at shift phis[j, i] in orientation flips[j], one
-        radial evaluation per orientation of the circle mapped by A1 R(phi) diag(1, flip)."""
-        maps = A1[rows] @ _rot(phis)
-        maps[..., 1] *= flips[:, None, None]
-        return np.stack([np.abs(_radials(body, m, circle) - s2[rows]).max(axis=1) for m in maps])
-
     # Refine the best coarse shift of each orientation and keep the smaller
     # residual: symmetric sections tie many coarse shifts exactly, and
     # refinement from one of them can stall.  The residual is flat wherever
     # its worst mismatch sits on a circular arc, and golden section started
     # across such a plateau can stall above the minimum, so a sub-grid scan
-    # within one grid step first picks the lowest basin.  The coarse scans
-    # evaluate only the shifts that a lower bound leaves open, and every
-    # sub-shift is an offset grid plus a whole-grid shift, so one radial call
-    # on the offset grids serves both orientations.  The scans run one pair
-    # at a time: a joint scan would multiply the largest radial batch, and
-    # with it the peak memory.
+    # within one grid step first picks the lowest basin.  Every sub-shift is
+    # an offset grid plus a whole-grid shift, so one radial call on the offset
+    # grids serves both orientations.  The scans run one pair at a time: a
+    # joint scan would multiply the largest radial batch, and the peak memory.
     sub = step * np.linspace(-1.0, 1.0, 2 * REFINE_SUB + 1)
-    phi0 = np.empty((2, len(pairs)))
+    phi0, flat = np.empty((2, len(pairs))), np.zeros(len(pairs), dtype=bool)
+    phi, res, flip = np.zeros(len(pairs)), np.empty(len(pairs)), np.ones(len(pairs))
     for i in range(len(pairs)):
         r1, s2[i] = _radials(body, np.stack([A1[i], A2[i]]), circle)
+        flat[i] = np.ptp(r1) <= REFINE_TOL
+        if flat[i]:
+            res[i] = np.abs(r1 - s2[i]).max()
+            continue
         # r1(theta_j + l d) = r1[(j + l) % SCAN_OFFSETS] on the shared grid, and the
         # reflection r1(-theta_j + l d) = r1[::-1][(j - l - 1) % SCAN_OFFSETS]
         base = np.argmin([_scan(r1, s2[i]), _scan(r1[::-1], s2[i])[::-1]], axis=1)
         R = np.vstack([r1, _radials(body, A1[i][None], offsets).reshape(fine.shape)])
         phis = ang[base][:, None] + sub
         phi0[:, i] = phis[[0, 1], np.argmin(_subscan(R, s2[i], base), axis=1)]
-    gr = (np.sqrt(5.0) - 1.0) / 2.0
-    rows = np.arange(len(pairs))
-    a, b = phi0 - step / REFINE_SUB, phi0 + step / REFINE_SUB
-    x1 = b - gr * (b - a)
-    x2 = a + gr * (b - a)
-    f1, f2 = residuals(x1, rows), residuals(x2, rows)
-    # golden section on every pair and orientation in lockstep: the brackets
-    # start equal and shrink alike, and each one stops at its own width
-    while (run := b - a > REFINE_TOL).any():
-        left = f1 <= f2
-        na, nb = np.where(left, a, x1), np.where(left, x2, b)
-        xn = np.where(left, nb - gr * (nb - na), na + gr * (nb - na))
-        fn = residuals(xn, rows)
-        new = (na, nb, np.where(left, xn, x2), np.where(left, fn, f2),
-               np.where(left, x1, xn), np.where(left, f1, fn))
-        old = (a, b, x1, f1, x2, f2)
-        a, b, x1, f1, x2, f2 = (np.where(run, n, o) for n, o in zip(new, old))
-    phis, res = np.where(f1 <= f2, x1, x2), np.minimum(f1, f2)
-    best = (res[1] < res[0]).astype(int)
-    phi, res, flip = phis[best, rows], res[best, rows], flips[best]
+    rows = np.flatnonzero(~flat)
+
+    def residuals(phis):
+        """Residual of pair rows[i] at shift phis[j, i] in orientation flips[j]."""
+        maps = A1[rows] @ _rot(phis)
+        maps[..., 1] *= flips[:, None, None]
+        return np.stack([np.abs(_radials(body, m, circle) - s2[rows]).max(axis=1) for m in maps])
+
+    if len(rows):
+        gr = (np.sqrt(5.0) - 1.0) / 2.0
+        a, b = phi0[:, rows] - step / REFINE_SUB, phi0[:, rows] + step / REFINE_SUB
+        x1, x2 = b - gr * (b - a), a + gr * (b - a)
+        f1, f2 = residuals(x1), residuals(x2)
+        # golden section on every pair and orientation in lockstep: the brackets
+        # start equal and shrink alike, and each one stops at its own width
+        while (run := b - a > REFINE_TOL).any():
+            left = f1 <= f2
+            na, nb = np.where(left, a, x1), np.where(left, x2, b)
+            xn = np.where(left, nb - gr * (nb - na), na + gr * (nb - na))
+            fn = residuals(xn)
+            new = (na, nb, np.where(left, xn, x2), np.where(left, fn, f2),
+                   np.where(left, x1, xn), np.where(left, f1, fn))
+            old = (a, b, x1, f1, x2, f2)
+            a, b, x1, f1, x2, f2 = (np.where(run, n, o) for n, o in zip(new, old))
+        phis, fmin = np.where(f1 <= f2, x1, x2), np.minimum(f1, f2)
+        best, cols = np.argmin(fmin, axis=0), np.arange(len(rows))
+        phi[rows], res[rows], flip[rows] = phis[best, cols], fmin[best, cols], flips[best]
     # matched r1(flip theta + phi) = r2(theta): on normalized bodies the map
     # sends the direction at angle alpha to flip (alpha - phi)
     T = _rot(-flip * phi)
@@ -338,27 +341,23 @@ def _match_planar(body: Body, pairs):
 
 @functools.cache
 def _signed_permutations():
-    """The 48 signed permutation matrices of R^3, built once per process."""
+    """The 48 signed permutation matrices of R^3, one stack built once per process."""
     perms, signs = itertools.permutations(range(3)), list(itertools.product((1.0, -1.0), repeat=3))
-    return tuple(np.diag(s) @ np.eye(3)[list(p)] for p in perms for s in signs)
+    return np.stack([np.diag(s) @ np.eye(3)[list(p)] for p in perms for s in signs])
 
 
 def _match_spatial(body: Body, A1, M1, A2, M2):
     """Heuristic 3D signature alignment over moment principal frames."""
     dirs = sphere_directions(3, SPATIAL_DESIGN)
-    r1, r2 = _radials(body, np.stack([A1, A2]), dirs)
-    P1 = dirs * r1[:, None]
-    P2 = dirs * r2[:, None]
-    _, V1 = np.linalg.eigh(P1.T @ P1)
-    _, V2 = np.linalg.eigh(P2.T @ P2)
-    best = (float(np.abs(r1 - r2).max()), np.eye(3))
-    for P in _signed_permutations():
-        O = V1 @ P @ V2.T
-        res = float(np.abs(_radials(body, (A1 @ O)[None], dirs)[0] - r2).max())
-        if res < best[0]:
-            best = (res, O)
-    res, O = best
-    return M2 @ O.T @ np.linalg.inv(M1), res
+    r = _radials(body, np.stack([A1, A2]), dirs)
+    P = dirs * r[:, :, None]
+    _, (V1, V2) = np.linalg.eigh(P.swapaxes(1, 2) @ P)
+    # the identity, then the 48 frame alignments, seven maps per radial call
+    O = np.concatenate([np.eye(3)[None], V1 @ _signed_permutations() @ V2.T])
+    res = np.concatenate([_radials(body, m, dirs) for m in np.split(A1 @ O, 7)])
+    res = np.abs(res - r[1]).max(axis=1)
+    i = int(np.argmin(res))
+    return M2 @ O[i].T @ np.linalg.inv(M1), float(res[i])
 
 
 def _normalize(body: Body, planes, cache: dict):
@@ -506,12 +505,13 @@ def banach_classify(
 
     Pairs checked: the chart base against every plane of a 3-per-axis grid,
     plus 32 random pairs from the region.  All distinct planes of the pairs
-    are normalized by their moments in one stacked quadrature (_normalize),
-    and all planar pairs are then matched in one lockstep search
-    (_match_planar).  Any pair beyond tol raises HypothesisFailed carrying
-    the worst pair; on success classify's report gains the equivalence
-    diagnostics, including whether the 3D heuristic matcher was involved.
-    The pair checks count no work in the report's timings.
+    are normalized by their moments in one stacked quadrature (_normalize).
+    _match_planar matches a planar pair with a round signature at shift 0,
+    as every normalized ellipse's is, and the rest in one lockstep search.
+    Any pair beyond tol raises HypothesisFailed carrying the worst pair; on
+    success classify's report gains the equivalence diagnostics, including
+    whether the 3D heuristic matcher was involved.  The pair checks count
+    no work in the report's timings.
     """
     if region.base.dim not in (2, 3):
         raise ValueError("banach_classify runs over regions of 2- or 3-planes")

@@ -101,6 +101,16 @@ def ball_cut_by_cube():
     return Intersection([Ellipsoid(np.eye(3)), cube])
 
 
+def ball_in_slab():
+    """The unit ball cut by the slab |z| <= 0.5: the XY section is a disk,
+    and SLAB_TILTED cuts an ellipse that the slab clips."""
+    slab = Cylinder(Polytope([[-0.5], [0.5]]), Subspace.coordinate(3, 2), XY)
+    return Intersection([Ellipsoid(np.eye(3)), slab])
+
+
+SLAB_TILTED = Subspace.span([1.0, 0.0, 0.0], [0.0, 1.0, 0.8])
+
+
 def box_prism():
     return Polytope(
         np.array(
@@ -281,11 +291,17 @@ def test_equivalence_ellipsoid_planes():
 def test_equivalence_rejects_disk_vs_square():
     body = steinmetz()
     assert linear_equivalent_sections(body, XY, XZ) is None
-    _, res, _ = _section_match(body, XY, XZ)
     # both normalize to area pi: the disk to the unit disk, the square to
-    # the square of half-width sqrt(pi) / 2, whose corners stick out by
-    # sqrt(pi / 2) - 1
-    assert abs(res - (np.sqrt(np.pi / 2.0) - 1.0)) <= 1e-12
+    # the square of half-width h = sqrt(pi) / 2, whose corners stick out by
+    # sqrt(pi / 2) - 1.  The disk first has a round signature and is matched
+    # at shift 0, where the square's corners sit on the circle's samples.
+    # The square first goes through the shift search, which can move its
+    # corners up to half a grid step off the samples, to h / cos(pi / 4 - step / 2).
+    h, step = np.sqrt(np.pi) / 2.0, 2.0 * np.pi / banach_module.SCAN_OFFSETS
+    corner = np.sqrt(np.pi / 2.0) - 1.0
+    assert abs(_section_match(body, XY, XZ)[1] - corner) <= 1e-12
+    low = h / np.cos(np.pi / 4 - step / 2) - 1.0
+    assert low - 1e-12 <= _section_match(body, XZ, XY)[1] <= corner + 1e-12
 
 
 def test_equivalence_square_vs_sheared_square():
@@ -421,17 +437,40 @@ def test_subscan_reads_the_rotated_residuals(body):
         assert np.abs(_subscan(R, s2, np.array(base)) - rotated).max() <= 1e-14
 
 
-@pytest.mark.parametrize("fixture", [("ellipsoid", "region_xy"), ("mixed", "region_mixed")])
+@pytest.mark.parametrize(
+    "fixture", [("ellipsoid", "region_xy"), ("mixed", "region_mixed"), "ball_in_slab"]
+)
 def test_stacked_match_equals_one_pair_calls(fixture):
-    body = load_body(FIXTURES / f"{fixture[0]}.json")
-    pairs = banach_pairs(load_region(FIXTURES / f"{fixture[1]}.json"), 0)
+    if fixture == "ball_in_slab":
+        # a stack of one round-signature pair (the disk first) and one pair
+        # that takes the shift search
+        body, pairs = ball_in_slab(), [(XY, SLAB_TILTED), (SLAB_TILTED, XY)]
+    else:
+        body = load_body(FIXTURES / f"{fixture[0]}.json")
+        pairs = banach_pairs(load_region(FIXTURES / f"{fixture[1]}.json"), 0)
+        assert len(pairs) == 41
     cache = {}
     stacked = _match_sections(body, pairs, cache=cache)
-    assert len(stacked) == 41
+    assert len(stacked) == len(pairs)
     for (X1, X2), (L, res, heuristic) in zip(pairs, stacked):
         assert not heuristic
-        assert abs(_section_match(body, X1, X2, cache=cache)[1] - res) <= 1e-15
+        L1, res1, _ = _section_match(body, X1, X2, cache=cache)
+        assert abs(res1 - res) <= 1e-15
+        assert np.abs(L1 - L).max() <= 1e-12
         assert_carries_signature(body, cache, X1, X2, L, res, 1e-12)
+
+
+@pytest.mark.parametrize("body, X2", [(steinmetz(), XZ), (ball_in_slab(), SLAB_TILTED)])
+def test_round_signature_residual_is_the_grid_minimum(body, X2):
+    # the disk's signature is round, so its pair skips the shift search; the
+    # residual still equals the least over every grid shift and orientation
+    n = banach_module.SCAN_OFFSETS
+    ang = np.linspace(0.0, 2.0 * np.pi, n, endpoint=False)
+    circle = np.column_stack([np.cos(ang), np.sin(ang)])
+    (r1, s2), _ = normalized_signatures(body, XY, X2, circle)
+    assert np.ptp(r1) <= banach_module.REFINE_TOL < np.ptp(s2)
+    brute = min(np.abs(np.roll(sig, -l) - s2).max() for sig in (r1, r1[::-1]) for l in range(n))
+    assert abs(_section_match(body, XY, X2)[1] - brute) <= banach_module.REFINE_TOL
 
 
 def test_off_centre_pair_in_a_stack_matches_its_own_call():
@@ -592,13 +631,19 @@ def test_tangency_on_a_spatial_section():
 # ----------------------------------------------------------------- classifier
 
 
-def test_banach_classify_ellipsoid():
+def test_banach_classify_ellipsoid(monkeypatch):
+    # every normalized ellipse section is the unit disk to rounding, so no
+    # pair needs the shift search
+    scans = []
+    scan = banach_module._scan
+    monkeypatch.setattr(banach_module, "_scan", lambda r, s: scans.append(1) or scan(r, s))
     body = Ellipsoid(np.diag([1.0, 2.0, 3.0]))
     region = GrassmannChart(XY, 0.2)
     rep = banach_classify(body, region)
     assert rep.verdict == "Ellipsoid"
     assert rep.diagnostics["banach_pairs"] == 41
-    assert rep.diagnostics["banach_worst_residual"] <= 1e-6
+    assert not scans
+    assert rep.diagnostics["banach_worst_residual"] <= 1e-13
     assert not rep.diagnostics["equivalence_heuristic"]
     assert rep.verdict == classify(body, region).verdict
 
